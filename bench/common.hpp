@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/service_options.hpp"
 #include "obs/collect.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -50,14 +51,13 @@ struct Config {
 
 // Optional observability session, enabled by `--trace-out <path>`,
 // `--perfetto-out <path>` and/or `--profile-out <path>` on the bench command
-// line. When enabled, the bench passes sink()/metrics()/profiler() into the
-// service under test and calls finish() before exiting, which drains the
-// tracer once and writes the requested exports: --trace-out gets the
-// combined JSON document (schema: obs/export.hpp), --perfetto-out gets
-// Chrome/Perfetto trace-event JSON (open at https://ui.perfetto.dev; same
-// format csaw-trace merges across instances), --profile-out gets a
-// CostProfile document (schema: obs/profile.hpp; merge/diff with
-// csaw-profile). When disabled, the taps are null and the run is
+// line. When enabled, the bench attach()es the session to the service under
+// test and calls finish() before exiting, which drains the tracer once and
+// writes the requested exports: --trace-out gets the combined JSON document
+// (schema: obs/export.hpp), --perfetto-out gets Chrome/Perfetto trace-event
+// JSON (open at https://ui.perfetto.dev; same format csaw-trace merges
+// across instances), --profile-out gets a CostProfile document (schema:
+// obs/profile.hpp; merge/diff with csaw-profile). When disabled, the taps are null and the run is
 // uninstrumented -- the default, so timing figures are unaffected.
 class ObsSession {
  public:
@@ -76,12 +76,14 @@ class ObsSession {
   [[nodiscard]] bool enabled() const {
     return !path_.empty() || !perfetto_path_.empty();
   }
-  obs::TraceSink* sink() { return enabled() ? &tracer_ : nullptr; }
-  obs::Metrics* metrics() { return enabled() ? &metrics_ : nullptr; }
-  // Non-null only under --profile-out: cost profiling is opt-in separately
-  // from tracing so the profile run can stay trace-free (and vice versa).
-  obs::Profiler* profiler() {
-    return profile_path_.empty() ? nullptr : &profiler_;
+  // Points a service's taps at this session (null taps when disabled). The
+  // profiler is set only under --profile-out: cost profiling is opt-in
+  // separately from tracing so the profile run can stay trace-free (and
+  // vice versa).
+  void attach(ServiceOptions& options) {
+    options.trace_sink = enabled() ? &tracer_ : nullptr;
+    options.metrics = enabled() ? &metrics_ : nullptr;
+    options.profiler = profile_path_.empty() ? nullptr : &profiler_;
   }
 
   // Writes the requested documents; returns false (after printing the

@@ -31,9 +31,7 @@ int main(int argc, char** argv) {
       cfg,
       [&](int rep) {
         miniredis::CheckpointedService::Options sopts;
-        sopts.trace_sink = obs.sink();
-        sopts.metrics = obs.metrics();
-        sopts.profiler = obs.profiler();
+        obs.attach(sopts);
         service = std::make_unique<miniredis::CheckpointedService>(sopts);
         miniredis::WorkloadOptions wopts;
         wopts.keyspace = 6000;

@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
   for (int rep = 0; rep < cfg.reps; ++rep) {
     miniredis::ShardedService::Options sopts;
     sopts.shards = kShards;
-    sopts.trace_sink = obs.sink();
-    sopts.metrics = obs.metrics();
+    obs.attach(sopts);
     auto service = std::make_unique<miniredis::ShardedService>(sopts);
 
     // Uneven pressure per *back-end*: keys are grouped by the shard their

@@ -27,8 +27,7 @@ SeriesAggregate run_variant(const Config& cfg, bool cache_enabled,
       [&](int rep) {
         miniredis::CachedService::Options sopts;
         sopts.cache_enabled = cache_enabled;
-        sopts.trace_sink = obs.sink();
-        sopts.metrics = obs.metrics();
+        obs.attach(sopts);
         service = std::make_unique<miniredis::CachedService>(sopts);
         miniredis::WorkloadOptions wopts;
         wopts.keyspace = 2000;

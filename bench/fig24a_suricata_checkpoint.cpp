@@ -30,8 +30,7 @@ int main(int argc, char** argv) {
       cfg,
       [&](int rep) {
         minisuricata::CheckpointedService::Options sopts;
-        sopts.trace_sink = obs.sink();
-        sopts.metrics = obs.metrics();
+        obs.attach(sopts);
         service = std::make_unique<minisuricata::CheckpointedService>(sopts);
         minisuricata::FlowGenOptions gopts;
         gopts.concurrent_flows = 512;

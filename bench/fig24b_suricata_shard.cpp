@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
 
   for (int rep = 0; rep < cfg.reps; ++rep) {
     minisuricata::SteeredService::Options sopts;
-    sopts.trace_sink = obs.sink();
-    sopts.metrics = obs.metrics();
+    obs.attach(sopts);
     auto service = std::make_unique<minisuricata::SteeredService>(sopts);
     minisuricata::FlowGenOptions gopts;
     gopts.concurrent_flows = 512;

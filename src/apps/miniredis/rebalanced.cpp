@@ -400,15 +400,8 @@ void RebalancedService::build_engine_locked() {
 
   auto compiled = compile(patterns::rebalance(popts));
   CSAW_CHECK(compiled.ok()) << compiled.error().to_string();
-  EngineOptions eopts;
-  eopts.runtime.default_link = options_.link;
-  eopts.runtime.trace_sink = options_.trace_sink;
-  eopts.runtime.metrics = options_.metrics;
-  eopts.runtime.profiler = options_.profiler;
-  eopts.runtime.profile_out = options_.profile_out;
-  eopts.runtime.scheduler = options_.scheduler;
   engine_ = std::make_unique<Engine>(std::move(compiled).value(), std::move(b),
-                                     eopts);
+                                     options_.engine_options());
   engine_->set_state(Symbol(popts.front_instance), front_);
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     engine_->set_state(Symbol(shard_name(i)), shards_[i]);

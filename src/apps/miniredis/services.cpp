@@ -85,18 +85,8 @@ CheckpointedService::CheckpointedService(Options options) {
 
   auto compiled = compile(patterns::remote_snapshot(popts));
   CSAW_CHECK(compiled.ok()) << compiled.error().to_string();
-  EngineOptions eopts;
-  eopts.runtime.default_link = options.link;
-  eopts.runtime.trace_sink = options.trace_sink;
-  eopts.runtime.metrics = options.metrics;
-  eopts.runtime.profiler = options.profiler;
-  eopts.runtime.profile_out = options.profile_out;
-  eopts.runtime.metrics_http_port = options.metrics_http_port;
-  eopts.runtime.transport = options.transport;
-  eopts.runtime.tcp = options.tcp;
-  eopts.runtime.scheduler = options.scheduler;
   engine_ = std::make_unique<Engine>(std::move(compiled).value(), std::move(b),
-                                     eopts);
+                                     options.engine_options());
   const auto cost = options.op_cost_ns;
   engine_->set_state_factory(Symbol("Act"), [this, cost] {
     act_ = std::make_shared<ActState>(cost);
@@ -221,18 +211,8 @@ ShardedService::ShardedService(Options options) : options_(std::move(options)) {
 
   auto compiled = compile(patterns::sharding(popts));
   CSAW_CHECK(compiled.ok()) << compiled.error().to_string();
-  EngineOptions eopts;
-  eopts.runtime.default_link = options_.link;
-  eopts.runtime.trace_sink = options_.trace_sink;
-  eopts.runtime.metrics = options_.metrics;
-  eopts.runtime.profiler = options_.profiler;
-  eopts.runtime.profile_out = options_.profile_out;
-  eopts.runtime.metrics_http_port = options_.metrics_http_port;
-  eopts.runtime.transport = options_.transport;
-  eopts.runtime.tcp = options_.tcp;
-  eopts.runtime.scheduler = options_.scheduler;
   engine_ = std::make_unique<Engine>(std::move(compiled).value(), std::move(b),
-                                     eopts);
+                                     options_.engine_options());
   engine_->set_state(Symbol(popts.front_instance), front_);
   for (const auto& name : patterns::shard_backend_names(popts)) {
     backs_.push_back(std::make_shared<BackState>(options_.op_cost_ns));
@@ -386,18 +366,8 @@ CachedService::CachedService(Options options) : options_(std::move(options)) {
 
   auto compiled = compile(patterns::caching(popts));
   CSAW_CHECK(compiled.ok()) << compiled.error().to_string();
-  EngineOptions eopts;
-  eopts.runtime.default_link = options_.link;
-  eopts.runtime.trace_sink = options_.trace_sink;
-  eopts.runtime.metrics = options_.metrics;
-  eopts.runtime.profiler = options_.profiler;
-  eopts.runtime.profile_out = options_.profile_out;
-  eopts.runtime.metrics_http_port = options_.metrics_http_port;
-  eopts.runtime.transport = options_.transport;
-  eopts.runtime.tcp = options_.tcp;
-  eopts.runtime.scheduler = options_.scheduler;
   engine_ = std::make_unique<Engine>(std::move(compiled).value(), std::move(b),
-                                     eopts);
+                                     options_.engine_options());
   engine_->set_state(Symbol("Cache"), cache_);
   engine_->set_state(Symbol("Fun"), fun_);
   auto st = engine_->run_main();
@@ -610,36 +580,24 @@ void ReplicatedService::build_engine() {
     b.block("H_replica", replica_apply);
   }
 
-  EngineOptions eopts;
-  eopts.runtime.default_link = options_.link;
-  eopts.runtime.trace_sink = options_.trace_sink;
-  eopts.runtime.metrics = options_.metrics;
-  eopts.runtime.profiler = options_.profiler;
-  eopts.runtime.profile_out = options_.profile_out;
-  eopts.runtime.metrics_http_port = options_.metrics_http_port;
-  eopts.runtime.scheduler = options_.scheduler;
-  eopts.runtime.default_consistency = options_.consistency;
-
   if (chain_mode) {
     patterns::ChainOptions popts;
     popts.replicas = live_slots_.size();
     popts.timeout_ms = options_.timeout_ms;
-    popts.consistency = options_.consistency;
     rep_names_ = patterns::chain_replica_names(popts);
     auto compiled = compile(patterns::chain(popts));
     CSAW_CHECK(compiled.ok()) << compiled.error().to_string();
-    engine_ = std::make_unique<Engine>(std::move(compiled).value(),
-                                       std::move(b), eopts);
+    engine_ = std::make_unique<Engine>(
+        std::move(compiled).value(), std::move(b), options_.engine_options());
   } else {
     patterns::QuorumOptions popts;
     popts.replicas = live_slots_.size();
     popts.timeout_ms = options_.timeout_ms;
-    popts.consistency = options_.consistency;
     rep_names_ = patterns::quorum_replica_names(popts);
     auto compiled = compile(patterns::quorum(popts));
     CSAW_CHECK(compiled.ok()) << compiled.error().to_string();
-    engine_ = std::make_unique<Engine>(std::move(compiled).value(),
-                                       std::move(b), eopts);
+    engine_ = std::make_unique<Engine>(
+        std::move(compiled).value(), std::move(b), options_.engine_options());
   }
 
   engine_->set_state(Symbol("Fnt"), front_);

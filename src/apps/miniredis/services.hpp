@@ -21,6 +21,9 @@
 //                           runtime, buckets streamed between owners while
 //                           writes continue (kWrongOwner fencing + journaled
 //                           handoff phases that survive crashes)
+//
+// Every service's Options derives from ServiceOptions (the push timeout and
+// the observability taps, apps/service_options.hpp).
 #pragma once
 
 #include <atomic>
@@ -34,6 +37,7 @@
 
 #include "apps/miniredis/command.hpp"
 #include "apps/miniredis/store.hpp"
+#include "apps/service_options.hpp"
 #include "compart/consistency.hpp"
 #include "compart/membership.hpp"
 #include "core/interp.hpp"
@@ -76,30 +80,8 @@ class BaselineService : public Service {
 
 class CheckpointedService : public Service {
  public:
-  struct Options {
+  struct Options : ServiceOptions {
     std::uint64_t op_cost_ns = kDefaultOpCostNs;
-    std::int64_t timeout_ms = 2000;
-    LinkModel link = LinkModel::in_process();
-    // Optional observability taps, forwarded to the underlying runtime;
-    // both borrowed and must outlive the service.
-    obs::TraceSink* trace_sink = nullptr;
-    obs::Metrics* metrics = nullptr;
-    // Optional continuous cost profiler (borrowed; must outlive the
-    // service), and/or a CostProfile JSON path the runtime writes at
-    // teardown (compart/runtime.hpp).
-    obs::Profiler* profiler = nullptr;
-    std::string profile_out;
-    // -1 = no HTTP endpoint; 0 = ephemeral port; >0 = fixed port. Needs
-    // `metrics` set. The bound port is metrics_http_port().
-    int metrics_http_port = -1;
-    // Transport for the underlying runtime: in-process (default), loopback
-    // TCP, or a multi-process TCP mesh configured by `tcp` (listener
-    // address, peer map, frame/queue bounds -- compart/tcp_options.hpp).
-    Transport transport = Transport::kInProcess;
-    TcpOptions tcp{};
-    // Event-driven worker-pool sizing / timer-wheel knobs for the
-    // underlying runtime (compart/sched.hpp).
-    SchedulerOptions scheduler{};
   };
 
   CheckpointedService() : CheckpointedService(make_default_options()) {}
@@ -137,33 +119,12 @@ class ShardedService : public Service {
  public:
   enum class Mode { kByKeyHash, kByObjectSize };
 
-  struct Options {
+  struct Options : ServiceOptions {
     std::size_t shards = 4;
     Mode mode = Mode::kByKeyHash;
     std::uint64_t op_cost_ns = kDefaultOpCostNs;
-    std::int64_t timeout_ms = 2000;
-    LinkModel link = LinkModel::in_process();
     // Object-size class boundaries (inclusive upper bounds; last is +inf).
     std::vector<std::size_t> size_bounds = {4 * 1024, 16 * 1024, 64 * 1024};
-    // Optional observability taps (borrowed; must outlive the service).
-    obs::TraceSink* trace_sink = nullptr;
-    obs::Metrics* metrics = nullptr;
-    // Optional continuous cost profiler (borrowed; must outlive the
-    // service), and/or a CostProfile JSON path the runtime writes at
-    // teardown (compart/runtime.hpp).
-    obs::Profiler* profiler = nullptr;
-    std::string profile_out;
-    // -1 = no HTTP endpoint; 0 = ephemeral port; >0 = fixed port. Needs
-    // `metrics` set. The bound port is metrics_http_port().
-    int metrics_http_port = -1;
-    // Transport for the underlying runtime: in-process (default), loopback
-    // TCP, or a multi-process TCP mesh configured by `tcp` (listener
-    // address, peer map, frame/queue bounds -- compart/tcp_options.hpp).
-    Transport transport = Transport::kInProcess;
-    TcpOptions tcp{};
-    // Event-driven worker-pool sizing / timer-wheel knobs for the
-    // underlying runtime (compart/sched.hpp).
-    SchedulerOptions scheduler{};
   };
 
   ShardedService() : ShardedService(make_default_options()) {}
@@ -196,31 +157,10 @@ class ShardedService : public Service {
 
 class CachedService : public Service {
  public:
-  struct Options {
+  struct Options : ServiceOptions {
     bool cache_enabled = true;  // false = same architecture, cache bypassed
     std::size_t cache_capacity = 4096;
     std::uint64_t op_cost_ns = kDefaultOpCostNs;
-    std::int64_t timeout_ms = 2000;
-    LinkModel link = LinkModel::in_process();
-    // Optional observability taps (borrowed; must outlive the service).
-    obs::TraceSink* trace_sink = nullptr;
-    obs::Metrics* metrics = nullptr;
-    // Optional continuous cost profiler (borrowed; must outlive the
-    // service), and/or a CostProfile JSON path the runtime writes at
-    // teardown (compart/runtime.hpp).
-    obs::Profiler* profiler = nullptr;
-    std::string profile_out;
-    // -1 = no HTTP endpoint; 0 = ephemeral port; >0 = fixed port. Needs
-    // `metrics` set. The bound port is metrics_http_port().
-    int metrics_http_port = -1;
-    // Transport for the underlying runtime: in-process (default), loopback
-    // TCP, or a multi-process TCP mesh configured by `tcp` (listener
-    // address, peer map, frame/queue bounds -- compart/tcp_options.hpp).
-    Transport transport = Transport::kInProcess;
-    TcpOptions tcp{};
-    // Event-driven worker-pool sizing / timer-wheel knobs for the
-    // underlying runtime (compart/sched.hpp).
-    SchedulerOptions scheduler{};
   };
 
   CachedService() : CachedService(make_default_options()) {}
@@ -292,7 +232,7 @@ class ReplicatedService : public Service {
     std::unordered_map<std::string, obs::Hlc> last_write_;
   };
 
-  struct Options {
+  struct Options : ServiceOptions {
     Mode mode = Mode::kChain;
     std::size_t replicas = 3;
     // Quorum tuning (quorum mode). W is strict: writes fail (and are NOT
@@ -303,19 +243,6 @@ class ReplicatedService : public Service {
     // Per-table read consistency default; overridable per request.
     Consistency consistency = Consistency::kEventual;
     std::uint64_t op_cost_ns = kDefaultOpCostNs;
-    std::int64_t timeout_ms = 2000;
-    LinkModel link = LinkModel::in_process();
-    // Optional observability taps (borrowed; must outlive the service).
-    obs::TraceSink* trace_sink = nullptr;
-    obs::Metrics* metrics = nullptr;
-    obs::Profiler* profiler = nullptr;
-    std::string profile_out;
-    // -1 = no HTTP endpoint; 0 = ephemeral port; >0 = fixed port. Needs
-    // `metrics` set.
-    int metrics_http_port = -1;
-    // Event-driven worker-pool sizing / timer-wheel knobs for the
-    // underlying runtime (compart/sched.hpp).
-    SchedulerOptions scheduler{};
   };
 
   ReplicatedService() : ReplicatedService(make_default_options()) {}
@@ -414,12 +341,10 @@ class ReplicatedService : public Service {
 // the newest published ownership.
 class RebalancedService : public Service {
  public:
-  struct Options {
+  struct Options : ServiceOptions {
     std::size_t shards = 2;    // initial shard count
     std::size_t buckets = 16;  // fixed bucket count (never changes)
     std::uint64_t op_cost_ns = kDefaultOpCostNs;
-    std::int64_t timeout_ms = 2000;
-    LinkModel link = LinkModel::in_process();
     // kWrongOwner client retry policy: capped exponential backoff with
     // jitter in [backoff/2, backoff], doubling up to backoff_max.
     int max_retries = 10;
@@ -433,14 +358,6 @@ class RebalancedService : public Service {
     // volatile (no files; crash recovery across process restarts disabled,
     // in-process aborts still work).
     std::string journal_dir;
-    // Optional observability taps (borrowed; must outlive the service).
-    obs::TraceSink* trace_sink = nullptr;
-    obs::Metrics* metrics = nullptr;
-    obs::Profiler* profiler = nullptr;
-    std::string profile_out;
-    // Event-driven worker-pool sizing / timer-wheel knobs for the
-    // underlying runtime (compart/sched.hpp).
-    SchedulerOptions scheduler{};
   };
 
   RebalancedService() : RebalancedService(make_default_options()) {}

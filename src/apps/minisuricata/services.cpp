@@ -55,17 +55,8 @@ CheckpointedService::CheckpointedService(Options options) {
 
   auto compiled = compile(patterns::remote_snapshot(popts));
   CSAW_CHECK(compiled.ok()) << compiled.error().to_string();
-  EngineOptions eopts;
-  eopts.runtime.trace_sink = options.trace_sink;
-  eopts.runtime.metrics = options.metrics;
-  eopts.runtime.profiler = options.profiler;
-  eopts.runtime.profile_out = options.profile_out;
-  eopts.runtime.metrics_http_port = options.metrics_http_port;
-  eopts.runtime.transport = options.transport;
-  eopts.runtime.tcp = options.tcp;
-  eopts.runtime.scheduler = options.scheduler;
   engine_ = std::make_unique<Engine>(std::move(compiled).value(), std::move(b),
-                                     eopts);
+                                     options.engine_options());
   const auto cost = options.cost_ns;
   engine_->set_state_factory(Symbol("Act"), [this, cost] {
     act_ = std::make_shared<ActState>(cost);
@@ -170,17 +161,8 @@ SteeredService::SteeredService(Options options) : options_(options) {
 
   auto compiled = compile(patterns::sharding(popts));
   CSAW_CHECK(compiled.ok()) << compiled.error().to_string();
-  EngineOptions eopts;
-  eopts.runtime.trace_sink = options_.trace_sink;
-  eopts.runtime.metrics = options_.metrics;
-  eopts.runtime.profiler = options_.profiler;
-  eopts.runtime.profile_out = options_.profile_out;
-  eopts.runtime.metrics_http_port = options_.metrics_http_port;
-  eopts.runtime.transport = options_.transport;
-  eopts.runtime.tcp = options_.tcp;
-  eopts.runtime.scheduler = options_.scheduler;
   engine_ = std::make_unique<Engine>(std::move(compiled).value(), std::move(b),
-                                     eopts);
+                                     options_.engine_options());
   engine_->set_state(Symbol(popts.front_instance), front_);
   for (const auto& name : patterns::shard_backend_names(popts)) {
     backs_.push_back(std::make_shared<BackState>(options_.cost_ns));

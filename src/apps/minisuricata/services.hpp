@@ -12,6 +12,7 @@
 
 #include "apps/minisuricata/packet.hpp"
 #include "apps/minisuricata/pipeline.hpp"
+#include "apps/service_options.hpp"
 #include "core/interp.hpp"
 
 namespace csaw::minisuricata {
@@ -34,29 +35,8 @@ class PlainService {
 // Flow-table checkpointing through the snapshot architecture.
 class CheckpointedService {
  public:
-  struct Options {
+  struct Options : ServiceOptions {
     std::uint64_t cost_ns = kDefaultPacketCostNs;
-    std::int64_t timeout_ms = 2000;
-    // Optional observability taps, forwarded to the underlying runtime;
-    // both borrowed and must outlive the service.
-    obs::TraceSink* trace_sink = nullptr;
-    obs::Metrics* metrics = nullptr;
-    // Optional continuous cost profiler (borrowed; must outlive the
-    // service), and/or a CostProfile JSON path the runtime writes at
-    // teardown (compart/runtime.hpp).
-    obs::Profiler* profiler = nullptr;
-    std::string profile_out;
-    // -1 = no HTTP endpoint; 0 = ephemeral port; >0 = fixed port. Needs
-    // `metrics` set. The bound port is metrics_http_port().
-    int metrics_http_port = -1;
-    // Transport for the underlying runtime: in-process (default), loopback
-    // TCP, or a multi-process TCP mesh configured by `tcp` (listener
-    // address, peer map, frame/queue bounds -- compart/tcp_options.hpp).
-    Transport transport = Transport::kInProcess;
-    TcpOptions tcp{};
-    // Event-driven worker-pool sizing / timer-wheel knobs for the
-    // underlying runtime (compart/sched.hpp).
-    SchedulerOptions scheduler{};
   };
 
   CheckpointedService() : CheckpointedService(make_default_options()) {}
@@ -83,30 +63,10 @@ class CheckpointedService {
 // the data plane) -- batch_size = 1 gives the worst case.
 class SteeredService {
  public:
-  struct Options {
+  struct Options : ServiceOptions {
     std::size_t shards = 4;
     std::size_t batch_size = 1024;
     std::uint64_t cost_ns = kDefaultPacketCostNs;
-    std::int64_t timeout_ms = 2000;
-    // Optional observability taps (borrowed; must outlive the service).
-    obs::TraceSink* trace_sink = nullptr;
-    obs::Metrics* metrics = nullptr;
-    // Optional continuous cost profiler (borrowed; must outlive the
-    // service), and/or a CostProfile JSON path the runtime writes at
-    // teardown (compart/runtime.hpp).
-    obs::Profiler* profiler = nullptr;
-    std::string profile_out;
-    // -1 = no HTTP endpoint; 0 = ephemeral port; >0 = fixed port. Needs
-    // `metrics` set. The bound port is metrics_http_port().
-    int metrics_http_port = -1;
-    // Transport for the underlying runtime: in-process (default), loopback
-    // TCP, or a multi-process TCP mesh configured by `tcp` (listener
-    // address, peer map, frame/queue bounds -- compart/tcp_options.hpp).
-    Transport transport = Transport::kInProcess;
-    TcpOptions tcp{};
-    // Event-driven worker-pool sizing / timer-wheel knobs for the
-    // underlying runtime (compart/sched.hpp).
-    SchedulerOptions scheduler{};
   };
 
   SteeredService() : SteeredService(make_default_options()) {}

@@ -451,7 +451,6 @@ Status Runtime::start(Symbol instance) {
       if (!recovered.ok()) return recovered.error();
       jrt->table->adopt_recovered(*recovered);
       Wal::Options wopts;
-      wopts.sync_each_append = options_.wal_sync;
       wopts.compact_bytes = options_.wal_compact_bytes;
       auto wal = Wal::open(options_.durability_dir, fname, wopts,
                            options_.metrics, recovered->last_lsn + 1);

@@ -47,7 +47,6 @@
 #include "compart/message.hpp"
 #include "compart/router.hpp"
 #include "compart/sched.hpp"
-#include "compart/consistency.hpp"
 #include "compart/tcp_options.hpp"
 #include "kv/table.hpp"
 #include "obs/expose.hpp"
@@ -185,18 +184,9 @@ struct RuntimeOptions {
   // <dir>/epoch. One directory per OS process -- two live runtimes sharing
   // it would interleave logs.
   std::string durability_dir;
-  // fsync the WAL on every state transition (the ack-implies-durable
-  // guarantee). false trades the unsynced suffix on power loss for
-  // throughput; kill -9 alone loses nothing either way.
-  bool wal_sync = true;
   // Per-table compaction threshold (snapshot + truncate once the log
   // exceeds this many bytes; 0 = never compact).
   std::size_t wal_compact_bytes = std::size_t{1} << 20;
-  // Default consistency level for replicated tables hosted on this runtime
-  // (core/consistency.hpp). The runtime itself only moves updates; the
-  // replication services (apps/miniredis ReplicatedService) read this as
-  // the table-level default and allow per-session overrides on top.
-  Consistency default_consistency = Consistency::kEventual;
 };
 
 // One ack'd update push, with named fields (replaces the old positional

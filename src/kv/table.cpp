@@ -395,7 +395,7 @@ void KvTable::wal_append(WalRecord rec) {
 
 void KvTable::wal_commit() {
   if (wal_ == nullptr) return;
-  auto st = wal_->commit();
+  auto st = wal_->sync();
   CSAW_CHECK(st.ok()) << owner_
                       << ": wal sync failed: " << st.error().to_string();
   if (wal_->wants_compaction()) {

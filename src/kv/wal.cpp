@@ -506,13 +506,8 @@ Status Wal::append(WalRecord rec, bool sync_now) {
   dirty_ = true;
   if (m_appends_ != nullptr) m_appends_->add();
   if (m_bytes_ != nullptr) m_bytes_->add(framed.size());
-  if (sync_now && options_.sync_each_append) return sync();
+  if (sync_now) return sync();
   return Status::ok_status();
-}
-
-Status Wal::commit() {
-  if (!options_.sync_each_append) return Status::ok_status();
-  return sync();
 }
 
 Status Wal::sync() {

@@ -93,11 +93,6 @@ Result<RecoveredState> wal_recover(const std::string& dir,
 class Wal {
  public:
   struct Options {
-    // fsync the log after every append (the acked-write guarantee). Off
-    // buys throughput at the cost of the unsynced suffix on power loss;
-    // kill -9 alone never loses buffered appends either way because the
-    // write() has entered the page cache.
-    bool sync_each_append = true;
     // Compact (snapshot + truncate) when the log exceeds this; 0 disables.
     std::size_t compact_bytes = std::size_t{1} << 20;
   };
@@ -114,12 +109,10 @@ class Wal {
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
-  // Appends one record (assigning its LSN); syncs per options unless the
-  // caller batches with sync_now=false + a trailing commit().
+  // Appends one record (assigning its LSN) and fsyncs it, unless the
+  // caller batches with sync_now=false + a trailing sync() at the
+  // transition boundary.
   Status append(WalRecord rec, bool sync_now = true);
-  // Transition boundary: syncs buffered appends iff Options asks for
-  // per-transition durability. sync() flushes unconditionally.
-  Status commit();
   Status sync();
 
   // Writes an atomic snapshot covering every record appended so far, then

@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "compart/consistency.hpp"
 #include "core/program.hpp"
 
 namespace csaw::patterns {
@@ -47,12 +46,6 @@ struct ChainOptions {
   std::size_t replicas = 3;
   std::string junction = "j";
   std::int64_t timeout_ms = 500;
-  // Table-level read consistency the deploying service should honor
-  // (compart/consistency.hpp). The relay topology is identical for every
-  // level -- the knob routes reads: eventual = any node, read-your-writes =
-  // any node whose applied HLC watermark covers the client token,
-  // linearizable = through the chain (response from the tail).
-  Consistency consistency = Consistency::kEventual;
 
   std::string ingest = "Ingest";
   std::string pack_request = "pack_request";

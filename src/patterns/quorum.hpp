@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "compart/consistency.hpp"
 #include "core/program.hpp"
 
 namespace csaw::patterns {
@@ -45,9 +44,6 @@ struct QuorumOptions {
   std::size_t replicas = 3;
   std::string junction = "j";
   std::int64_t timeout_ms = 500;
-  // Table-level read consistency the deploying service should honor
-  // (compart/consistency.hpp); see the header comment for the routing.
-  Consistency consistency = Consistency::kEventual;
 
   std::string choose_set = "ChooseSet";
   std::string pack_request = "pack_request";

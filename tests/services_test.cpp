@@ -4,9 +4,13 @@
 // request/response level.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "apps/miniredis/services.hpp"
 #include "apps/miniredis/workload.hpp"
 #include "apps/minisuricata/services.hpp"
+#include "obs/profile.hpp"
+#include "obs/trace.hpp"
 #include "patterns/baselines.hpp"
 
 namespace csaw {
@@ -152,6 +156,115 @@ TEST(Services, SuricataSteeringPreservesEveryPacket) {
   for (auto c : svc.shard_packet_counts()) total += c;
   EXPECT_EQ(total, static_cast<std::uint64_t>(kPackets));
 }
+
+// --- every service forwards its ServiceOptions taps ---------------------------
+
+// One service shape: builds the service from `base` (taps set through the
+// ServiceOptions base) and drives one operation that enters the runtime.
+// The service is destroyed before drive() returns.
+struct TapCase {
+  const char* name;
+  void (*drive)(const ServiceOptions& base);
+};
+
+template <typename Options>
+Options with_base(const ServiceOptions& base) {
+  Options options;
+  static_cast<ServiceOptions&>(options) = base;
+  return options;
+}
+
+const TapCase kTapCases[] = {
+    {"RedisCheckpointed",
+     [](const ServiceOptions& base) {
+       auto o = with_base<miniredis::CheckpointedService::Options>(base);
+       o.op_cost_ns = 0;
+       miniredis::CheckpointedService svc(o);
+       ASSERT_TRUE(svc.checkpoint().ok());
+     }},
+    {"Sharded",
+     [](const ServiceOptions& base) {
+       auto o = with_base<miniredis::ShardedService::Options>(base);
+       o.op_cost_ns = 0;
+       miniredis::ShardedService svc(o);
+       ASSERT_TRUE(svc.request(get_cmd("k")).ok());
+     }},
+    {"Cached",
+     [](const ServiceOptions& base) {
+       auto o = with_base<miniredis::CachedService::Options>(base);
+       o.op_cost_ns = 0;
+       miniredis::CachedService svc(o);
+       ASSERT_TRUE(svc.request(get_cmd("k")).ok());
+       EXPECT_EQ(svc.misses(), 1u);
+     }},
+    {"Replicated",
+     [](const ServiceOptions& base) {
+       auto o = with_base<miniredis::ReplicatedService::Options>(base);
+       o.mode = miniredis::ReplicatedService::Mode::kChain;
+       o.op_cost_ns = 0;
+       miniredis::ReplicatedService svc(o);
+       ASSERT_TRUE(svc.request(set_cmd("k", "v")).ok());
+     }},
+    {"Rebalanced",
+     [](const ServiceOptions& base) {
+       auto o = with_base<miniredis::RebalancedService::Options>(base);
+       o.op_cost_ns = 0;
+       miniredis::RebalancedService svc(o);
+       ASSERT_TRUE(svc.request(get_cmd("k")).ok());
+     }},
+    {"SuricataCheckpointed",
+     [](const ServiceOptions& base) {
+       auto o = with_base<minisuricata::CheckpointedService::Options>(base);
+       o.cost_ns = 0;
+       minisuricata::CheckpointedService svc(o);
+       ASSERT_TRUE(svc.checkpoint().ok());
+     }},
+    {"Steered",
+     [](const ServiceOptions& base) {
+       auto o = with_base<minisuricata::SteeredService::Options>(base);
+       o.shards = 1;  // every packet fills the same batch
+       o.batch_size = 8;
+       o.cost_ns = 0;
+       minisuricata::SteeredService svc(o);
+       minisuricata::FlowGenerator gen({}, 44);
+       for (std::size_t i = 0; i < o.batch_size; ++i) {
+         ASSERT_TRUE(svc.process(gen.next()).ok());
+       }
+       std::uint64_t steered = 0;
+       for (auto c : svc.shard_packet_counts()) steered += c;
+       EXPECT_EQ(steered, o.batch_size);
+     }},
+};
+
+class ServiceTaps : public ::testing::TestWithParam<TapCase> {};
+
+TEST_P(ServiceTaps, ForwardsEveryTapToTheRuntime) {
+  obs::Tracer tracer;
+  obs::Metrics metrics;
+  obs::Profiler profiler;
+  ServiceOptions base;
+  base.trace_sink = &tracer;
+  base.metrics = &metrics;
+  base.profiler = &profiler;
+  base.profile_out = ::testing::TempDir() + "service_taps_" +
+                     GetParam().name + ".json";
+  std::filesystem::remove(base.profile_out);
+
+  GetParam().drive(base);
+  if (HasFatalFailure()) return;
+
+  EXPECT_GT(metrics.counter("push_sent").value(), 0u);
+  EXPECT_FALSE(profiler.snapshot().junctions.empty());
+  EXPECT_FALSE(tracer.drain().empty());
+  EXPECT_TRUE(std::filesystem::exists(base.profile_out));
+  std::filesystem::remove(base.profile_out);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllServices, ServiceTaps,
+                         ::testing::ValuesIn(kTapCases),
+                         [](const ::testing::TestParamInfo<TapCase>& info) {
+                           return std::string(info.param.name);
+                         });
 
 // --- direct-C++ baselines (Table 2 control) -----------------------------------
 
