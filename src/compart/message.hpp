@@ -7,7 +7,6 @@
 
 #include "kv/update.hpp"
 #include "obs/trace.hpp"
-#include "support/clock.hpp"
 #include "support/symbol.hpp"
 
 namespace csaw {
@@ -38,7 +37,6 @@ struct Envelope {
   Update update;               // kUpdate payload
   bool nack = false;           // kAck: true if delivery failed
   std::string nack_reason;
-  SteadyTime deliver_at{};     // set by the router
   // Sender's authority epoch (runtime.hpp "Split-brain prevention"): 0 on
   // frames from runtimes without durable epochs. A receiver whose epoch is
   // higher rejects non-zero stale updates; a receiver whose epoch is lower

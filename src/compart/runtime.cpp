@@ -190,6 +190,8 @@ Runtime::Runtime(RuntimeOptions options) : options_(options) {
     // after tcp_/instances_, so it is destroyed first).
     exposer_->set_profile_source([this] { return cost_profile_json(); });
   }
+  constructed_.store(true, std::memory_order_release);
+  constructed_.notify_all();
 }
 
 Runtime::~Runtime() {
@@ -211,6 +213,13 @@ Runtime::~Runtime() {
       }
     }
   }
+  // Nothing may deliver into this runtime once its members start to go:
+  // the transport's event loop delivers inbound frames and sends their
+  // acks through the router, and the router's thread (if it ever started)
+  // routes through the transport. Stop the loop, then the router; both
+  // objects stay alive, so a delivery finishing meanwhile can still send.
+  if (tcp_ != nullptr) tcp_->stop();
+  router_->stop();
 }
 
 std::uint64_t Runtime::bump_epoch() {
@@ -527,7 +536,11 @@ Status Runtime::stop_locked_state(InstanceRt& inst,
     }
     inst.cv.notify_all();
   }
-  ack_cv_.notify_all();  // unblock the instance's pending pushes
+  {
+    // Wake every waiting push: those this instance made see its abort flag.
+    std::scoped_lock lock(ack_mu_);
+    for (auto& [seq, slot] : ack_slots_) slot->cv.notify_one();
+  }
   {
     // Quiesce: no new evals start once the state left kRunning; wait out
     // the in-flight ones (their blocked waits were interrupted above).
@@ -692,23 +705,22 @@ Status Runtime::push(PushRequest req) {
 
   const std::uint64_t seq = next_seq_.fetch_add(1);
   env.seq = seq;
+  AckSlot slot;
   {
     std::scoped_lock lock(ack_mu_);
-    pending_acks_.insert(seq);
+    ack_slots_.emplace(seq, &slot);
   }
   if (ins_.push_sent != nullptr) ins_.push_sent->add();
   push_event(obs::TraceEvent::Kind::kPushSent, seq, 0);
   router_->send(std::move(env), payload);
 
   // Announced lazily: only an ack wait that actually parks is blocking
-  // (in-process acks usually land before the first slice).
+  // (an inline delivery has filled the slot before send returns).
   std::optional<ScopedBlockingRegion> blocking;
   std::unique_lock lock(ack_mu_);
   while (true) {
-    if (auto it = ack_results_.find(seq); it != ack_results_.end()) {
-      Status st = it->second;
-      ack_results_.erase(it);
-      pending_acks_.erase(seq);
+    if (slot.result.has_value()) {  // the ack also unregistered the slot
+      Status st = std::move(*slot.result);
       lock.unlock();
       const auto dt = elapsed_ns();
       if (st.ok()) {
@@ -722,7 +734,7 @@ Status Runtime::push(PushRequest req) {
       return st;
     }
     if (req.abort != nullptr && req.abort->load(std::memory_order_relaxed)) {
-      pending_acks_.erase(seq);
+      ack_slots_.erase(seq);
       lock.unlock();
       // Sender-side failure: classified with the nacks, not the timeouts.
       if (ins_.push_nacked != nullptr) ins_.push_nacked->add();
@@ -730,7 +742,7 @@ Status Runtime::push(PushRequest req) {
       return make_error(Errc::kUnreachable, "sender aborted while pushing");
     }
     if (req.deadline.expired()) {
-      pending_acks_.erase(seq);
+      ack_slots_.erase(seq);
       lock.unlock();
       if (ins_.push_timeout != nullptr) ins_.push_timeout->add();
       push_event(obs::TraceEvent::Kind::kPushTimeout, seq, elapsed_ns());
@@ -740,7 +752,7 @@ Status Runtime::push(PushRequest req) {
     }
     if (!blocking.has_value()) blocking.emplace();
     const auto slice = Deadline::after(kAckPollSlice).min(req.deadline);
-    ack_cv_.wait_until(lock, slice.when());
+    slot.cv.wait_until(lock, slice.when());
   }
 }
 
@@ -1210,7 +1222,10 @@ void Runtime::resolve_wake_plan_locked(InstanceRt& inst) {
   }
 }
 
-void Runtime::deliver_local(Envelope&& env) { deliver(std::move(env)); }
+void Runtime::deliver_local(Envelope&& env) {
+  constructed_.wait(false, std::memory_order_acquire);
+  deliver(std::move(env));
+}
 
 void Runtime::deliver(Envelope&& env) {
   // Receiving any traced frame advances our hybrid logical clock past the
@@ -1228,12 +1243,14 @@ void Runtime::deliver(Envelope&& env) {
   }
   if (env.kind == Envelope::Kind::kAck) {
     std::scoped_lock lock(ack_mu_);
-    if (pending_acks_.contains(env.seq)) {
-      ack_results_.emplace(
-          env.seq, env.nack ? Status(make_error(Errc::kUnreachable,
-                                                env.nack_reason))
-                            : Status::ok_status());
-      ack_cv_.notify_all();
+    if (auto it = ack_slots_.find(env.seq); it != ack_slots_.end()) {
+      AckSlot& slot = *it->second;
+      ack_slots_.erase(it);
+      slot.result = env.nack ? Status(make_error(Errc::kUnreachable,
+                                                 env.nack_reason))
+                             : Status::ok_status();
+      // Under ack_mu_: the slot dies as soon as its push sees the result.
+      slot.cv.notify_one();
     }
     return;
   }
@@ -1259,30 +1276,33 @@ void Runtime::deliver(Envelope&& env) {
     send_ack(env, true, "unknown instance " + env.to.instance.str());
     return;
   }
-  std::scoped_lock lock(inst->mu);
-  if (inst->state != InstanceRt::State::kRunning) {
-    if (options_.nack_when_down) {
-      send_ack(env, true, env.to.qualified() + " is down");
+  // The ack goes out after inst->mu is released: on a zero-delay link it is
+  // delivered inline, re-entering the router on this thread (router.hpp,
+  // "Deadlock freedom").
+  bool nack = true;
+  std::string reason;
+  {
+    std::scoped_lock lock(inst->mu);
+    if (inst->state != InstanceRt::State::kRunning) {
+      // Without nack_when_down the push vanishes; the sender discovers the
+      // failure by timeout.
+      if (!options_.nack_when_down) return;
+      reason = env.to.qualified() + " is down";
+    } else if (auto* jrt = find_junction(*inst, env.to.junction);
+               jrt == nullptr) {
+      reason = "unknown junction " + env.to.qualified();
+    } else {
+      auto st = jrt->table->enqueue(env.update);
+      if (st.ok() && env.ctx.has_value()) {
+        // The next run of this junction is causally downstream of this push.
+        jrt->last_delivered = *env.ctx;
+      }
+      inst->cv.notify_all();
+      nack = !st.ok();
+      if (nack) reason = st.error().to_string();
     }
-    // else: vanish; the sender discovers the failure by timeout.
-    return;
   }
-  auto* jrt = find_junction(*inst, env.to.junction);
-  if (jrt == nullptr) {
-    send_ack(env, true, "unknown junction " + env.to.qualified());
-    return;
-  }
-  auto st = jrt->table->enqueue(env.update);
-  if (st.ok() && env.ctx.has_value()) {
-    // The next run of this junction is causally downstream of this push.
-    jrt->last_delivered = *env.ctx;
-  }
-  inst->cv.notify_all();
-  if (st.ok()) {
-    send_ack(env, false, {});
-  } else {
-    send_ack(env, true, st.error().to_string());
-  }
+  send_ack(env, nack, std::move(reason));
 }
 
 void Runtime::send_ack(const Envelope& original, bool nack,

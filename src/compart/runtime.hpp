@@ -36,9 +36,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -524,6 +524,11 @@ class Runtime {
   bool wake_plans_resolved_ = false;  // under reg_mu_
   std::unique_ptr<class TcpTransport> tcp_;  // only in TCP transport modes
   std::unique_ptr<Router> router_;
+  // Set when the constructor returns. The transport's event loop starts
+  // inside the transport's constructor and may deliver a frame -- whose
+  // ack leaves through router_ and tcp_ on that same thread -- before
+  // either is assigned; deliver_local waits for this first.
+  std::atomic<bool> constructed_{false};
   std::unique_ptr<obs::HttpExposer> exposer_;  // /metrics listener
   std::unique_ptr<FailureDetector> detector_;  // only with heartbeats on
 
@@ -538,12 +543,16 @@ class Runtime {
   std::uint64_t id_base_ = 0;
   std::atomic<std::uint64_t> next_id_{1};
 
-  // Ack correlation. pending_acks_ holds seqs someone is still waiting for;
-  // acks for abandoned seqs (timed-out pushes) are dropped on delivery.
+  // Ack correlation. Each acked push waits on its own slot, which lives on
+  // the pusher's stack and is registered here under the push's seq until
+  // the ack fills it or the push gives up; acks for seqs no longer
+  // registered (abandoned pushes) are dropped on delivery.
+  struct AckSlot {
+    std::optional<Status> result;  // guarded by ack_mu_
+    std::condition_variable cv;
+  };
   std::mutex ack_mu_;
-  std::condition_variable ack_cv_;
-  std::map<std::uint64_t, Status> ack_results_;
-  std::set<std::uint64_t> pending_acks_;
+  std::unordered_map<std::uint64_t, AckSlot*> ack_slots_;
   std::atomic<std::uint64_t> next_seq_{1};
 };
 

@@ -194,12 +194,7 @@ TcpTransport::TcpTransport(DeliverFn deliver, TcpOptions options,
 }
 
 TcpTransport::~TcpTransport() {
-  {
-    std::scoped_lock lock(mu_);
-    stop_ = true;
-  }
-  wake();
-  if (thread_.joinable()) thread_.join();
+  stop();
   for (auto& [name, p] : peers_) {
     if (p->fd >= 0) ::close(p->fd);
   }
@@ -212,6 +207,15 @@ TcpTransport::~TcpTransport() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (wake_r_ >= 0) ::close(wake_r_);
   if (wake_w_ >= 0) ::close(wake_w_);
+}
+
+void TcpTransport::stop() {
+  {
+    std::scoped_lock lock(mu_);
+    stop_ = true;
+  }
+  wake();
+  if (thread_.joinable()) thread_.join();
 }
 
 void TcpTransport::wake() {

@@ -109,6 +109,10 @@ class TcpTransport {
   // Bound listener port (0 when the listener is disabled).
   [[nodiscard]] std::uint16_t port() const { return listen_port_; }
 
+  // Stops and joins the event loop (idempotent; the destructor calls it).
+  // Nothing is delivered afterwards; route() still queues frames.
+  void stop();
+
   // Installs the heartbeat frame factory (thread-safe). When
   // TcpOptions::heartbeat_interval > 0, the event loop calls it once per
   // interval (without holding transport locks) and sends the returned

@@ -89,6 +89,12 @@ ProgramSpec failover(const FailoverOptions& o) {
     serving_arms.push_back(case_arm(
         f_prop("Call"),
         e_seq({
+            // Consume the request before granting it (Fig 10 retracts Call
+            // last). f::c asserts its next Call as soon as this grant ends,
+            // possibly while this run is still going; by the local-priority
+            // rule a retract made after that arrival would drop it, and the
+            // next request would wait out f::c's timeout.
+            e_retract(pr("Call")),
             // If the client-facing side dies mid-request, its final
             // `retract [f::b] Active` never arrives; the fallback clears the
             // grant locally (the same self-heal idiom as Fig 14's serve) or
@@ -101,7 +107,6 @@ ProgramSpec failover(const FailoverOptions& o) {
                         })),
                         t,
                         e_seq({e_retract(pr("Active")), e_call(o.complain)})),
-            e_retract(pr("Call")),
         }),
         Terminator::kBreak));
     // for b in backends  !Call & InitBackend[b] =>

@@ -1,8 +1,11 @@
 // Unit tests for the compart runtime: router link models, lifecycle rules,
-// ack'd pushes, nack-vs-timeout failure discovery, crash injection, guards.
+// ack'd pushes, nack-vs-timeout failure discovery, crash injection, guards,
+// and the router's delivery path (inline vs queued, channel FIFO).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +35,26 @@ InstanceDesc echo_instance(std::string_view name,
   d.type = Symbol("echo");
   d.junctions.push_back(std::move(j));
   return d;
+}
+
+bool eventually(const std::function<bool()>& pred,
+                std::chrono::milliseconds budget = std::chrono::seconds(10)) {
+  const auto deadline = steady_now() + budget;
+  while (steady_now() < deadline) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return pred();
+}
+
+Envelope update_envelope(std::string_view from, std::string_view to,
+                         std::uint64_t seq) {
+  Envelope env;
+  env.from_instance = Symbol(from);
+  env.to = JunctionAddr{Symbol(to), Symbol("j")};
+  env.update = Update::assert_prop(kWork);
+  env.seq = seq;
+  return env;
 }
 
 TEST(Runtime, LifecycleRules) {
@@ -315,6 +338,260 @@ TEST(Runtime, RemotePropReadsRequireRunningInstance) {
                                   kWork);
   ASSERT_TRUE(up.ok());
   EXPECT_FALSE(*up);
+}
+
+// --- router delivery path ---------------------------------------------------
+
+TEST(Router, ZeroDelayDeliversInlineAndLatencyOnTheRouterThread) {
+  std::mutex mu;
+  std::vector<std::thread::id> delivered_on;
+  Router router(LinkModel::in_process(), 1, [&](Envelope&&) {
+    std::scoped_lock lock(mu);
+    delivered_on.push_back(std::this_thread::get_id());
+  });
+  router.send(update_envelope("a", "b", 1), 16);
+  {
+    std::scoped_lock lock(mu);
+    ASSERT_EQ(delivered_on.size(), 1u);  // delivered before send returned
+    EXPECT_EQ(delivered_on[0], std::this_thread::get_id());
+  }
+  EXPECT_FALSE(router.thread_started());
+
+  LinkModel slow;
+  slow.latency = std::chrono::microseconds(200);
+  router.set_link(Symbol("a"), Symbol("b"), slow);
+  router.send(update_envelope("a", "b", 2), 16);
+  EXPECT_TRUE(router.thread_started());
+  ASSERT_TRUE(eventually([&] {
+    std::scoped_lock lock(mu);
+    return delivered_on.size() == 2;
+  }));
+  std::scoped_lock lock(mu);
+  EXPECT_NE(delivered_on[1], std::this_thread::get_id());
+}
+
+TEST(Router, PartitionAndDropApplyOnTheInlinePath) {
+  std::atomic<std::uint64_t> delivered{0};
+  Router router(LinkModel::in_process(), 7,
+                [&](Envelope&&) { delivered.fetch_add(1); });
+  router.set_partition(Symbol("a"), Symbol("b"), true);
+  router.send(update_envelope("a", "b", 1), 16);
+  router.send(update_envelope("b", "a", 2), 16);  // both directions
+  EXPECT_EQ(delivered.load(), 0u);
+
+  LinkModel lossy;
+  lossy.drop_prob = 0.5;
+  router.set_link(Symbol("a"), Symbol("c"), lossy);
+  constexpr std::uint64_t kSends = 1000;
+  for (std::uint64_t i = 0; i < kSends; ++i) {
+    router.send(update_envelope("a", "c", i), 16);
+  }
+  const auto c = router.counters();
+  EXPECT_EQ(c.sent, kSends + 2);
+  EXPECT_EQ(c.partitioned, 2u);
+  EXPECT_GT(c.dropped, kSends / 4);
+  EXPECT_LT(c.dropped, kSends * 3 / 4);
+  EXPECT_EQ(c.delivered, delivered.load());
+  EXPECT_EQ(c.sent, c.delivered + c.dropped + c.partitioned);
+  EXPECT_FALSE(router.thread_started());
+}
+
+TEST(Router, DeliveryThatSendsAgainDoesNotDeadlock) {
+  // The ack path: delivering an update sends an ack back through the same
+  // router, from inside the DeliverFn.
+  std::atomic<int> acks{0};
+  Router* self = nullptr;
+  Router router(LinkModel::in_process(), 1, [&](Envelope&& env) {
+    if (env.kind == Envelope::Kind::kAck) {
+      acks.fetch_add(1);
+      return;
+    }
+    Envelope ack;
+    ack.kind = Envelope::Kind::kAck;
+    ack.seq = env.seq;
+    ack.from_instance = env.to.instance;
+    ack.to = JunctionAddr{env.from_instance, Symbol()};
+    self->send(std::move(ack), 16);
+  });
+  self = &router;
+  for (std::uint64_t i = 1; i <= 100; ++i) {
+    router.send(update_envelope("a", "b", i), 16);
+  }
+  EXPECT_EQ(acks.load(), 100);  // all inline, depth 2
+  EXPECT_EQ(router.counters().delivered, 200u);
+}
+
+TEST(Router, FifoAcrossTheQueuedToInlineBoundary) {
+  // Half the sends ride a 200 us link and queue; the link then drops to
+  // zero delay while they are still queued. Later sends must neither
+  // overtake them (same due time as a queued one) nor jump the queue inline.
+  std::mutex mu;
+  std::vector<std::uint64_t> order;
+  Router router(LinkModel::in_process(), 1, [&](Envelope&& env) {
+    std::scoped_lock lock(mu);
+    order.push_back(env.seq);
+  });
+  LinkModel slow;
+  slow.latency = std::chrono::microseconds(200);
+  router.set_link(Symbol("a"), Symbol("b"), slow);
+  constexpr std::uint64_t kSends = 1000;
+  for (std::uint64_t i = 0; i < kSends; ++i) {
+    if (i == kSends / 2) router.clear_link(Symbol("a"), Symbol("b"));
+    router.send(update_envelope("a", "b", i), 16);
+  }
+  ASSERT_TRUE(eventually([&] {
+    std::scoped_lock lock(mu);
+    return order.size() == kSends;
+  }));
+  std::scoped_lock lock(mu);
+  for (std::uint64_t i = 0; i < kSends; ++i) ASSERT_EQ(order[i], i);
+}
+
+TEST(Runtime, FireAndForgetWritesStayFifoAcrossALinkChange) {
+  const Symbol kV("v");
+  JunctionDesc j;
+  j.name = Symbol("j");
+  j.table_spec.data = {kV};
+  j.body = [](JunctionEnv&) {};  // manual: evals only apply pending updates
+  InstanceDesc d;
+  d.name = Symbol("a");
+  d.type = Symbol("sink");
+  d.junctions.push_back(std::move(j));
+
+  RuntimeOptions opts;
+  opts.acks_enabled = false;  // no ack serializes the sends
+  Runtime rt(opts);
+  rt.add_instance(std::move(d));
+  ASSERT_TRUE(rt.start(Symbol("a")).ok());
+  const auto value = [](std::uint32_t v) {
+    return SerializedValue{Symbol("u32"),
+                           Bytes{static_cast<std::uint8_t>(v),
+                                 static_cast<std::uint8_t>(v >> 8), 0, 0}};
+  };
+  LinkModel slow;
+  slow.latency = std::chrono::microseconds(200);
+  rt.router().set_link(Symbol("test"), Symbol("a"), slow);
+  constexpr std::uint32_t kWrites = 1000;
+  for (std::uint32_t i = 0; i < kWrites; ++i) {
+    if (i == kWrites / 2) rt.router().clear_link(Symbol("test"), Symbol("a"));
+    ASSERT_TRUE(rt.push({.to = {Symbol("a"), Symbol("j")},
+                         .update = Update::write_data(kV, value(i)),
+                         .from = Symbol("test")})
+                    .ok());
+  }
+  KvTable& table = rt.table(Symbol("a"), Symbol("j"));
+  ASSERT_TRUE(
+      eventually([&] { return table.counters().applied == kWrites; }));
+  auto last = table.data(kV);
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(*last, value(kWrites - 1));
+}
+
+TEST(Runtime, AllZeroDelayLinksNeverStartTheRouterThread) {
+  Runtime rt;
+  rt.add_instance(echo_instance("a"));
+  ASSERT_TRUE(rt.start(Symbol("a")).ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(rt.push({.to = {Symbol("a"), Symbol("j")},
+                         .update = Update::assert_prop(kWork),
+                         .deadline = Deadline::after(std::chrono::seconds(5)),
+                         .from = Symbol("test")})
+                    .ok());
+  }
+  EXPECT_FALSE(rt.router().thread_started());
+}
+
+TEST(Runtime, ConcurrentAckedPushesEachGetTheirOwnAck) {
+  constexpr int kThreads = 4;
+  constexpr int kPushes = 200;
+  Runtime rt;
+  for (int t = 0; t < kThreads; ++t) {
+    rt.add_instance(echo_instance("a" + std::to_string(t)));
+    ASSERT_TRUE(rt.start(Symbol("a" + std::to_string(t))).ok());
+  }
+  std::atomic<int> ok{0};
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&rt, &ok, t] {
+        const Symbol to("a" + std::to_string((t + 1) % kThreads));
+        for (int i = 0; i < kPushes; ++i) {
+          if (rt.push({.to = {to, Symbol("j")},
+                       .update = Update::assert_prop(kWork),
+                       .deadline = Deadline::after(std::chrono::seconds(5)),
+                       .from = Symbol("t" + std::to_string(t))})
+                  .ok()) {
+            ok.fetch_add(1);
+          }
+        }
+      });
+    }
+  }
+  EXPECT_EQ(ok.load(), kThreads * kPushes);
+}
+
+TEST(Runtime, PushToAConcurrentlyStoppedTargetReturnsBeforeItsDeadline) {
+  // The update sits on a 300 ms link while its target stops: delivery then
+  // nacks, long before the push's 30 s deadline.
+  Runtime rt;
+  rt.add_instance(echo_instance("a"));
+  ASSERT_TRUE(rt.start(Symbol("a")).ok());
+  LinkModel slow;
+  slow.latency = std::chrono::milliseconds(300);
+  rt.router().set_link(Symbol("test"), Symbol("a"), slow);
+  const auto before = steady_now();
+  Status st = Status::ok_status();
+  std::jthread pusher([&] {
+    st = rt.push({.to = {Symbol("a"), Symbol("j")},
+                   .update = Update::assert_prop(kWork),
+                   .deadline = Deadline::after(std::chrono::seconds(30)),
+                   .from = Symbol("test")});
+  });
+  ASSERT_TRUE(eventually([&] { return rt.router().counters().sent >= 1; }));
+  ASSERT_TRUE(rt.stop(Symbol("a")).ok());
+  pusher.join();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, Errc::kUnreachable);
+  EXPECT_LT(steady_now() - before, std::chrono::seconds(5));
+}
+
+TEST(Runtime, StoppingTheSenderReleasesItsPendingPush) {
+  // A junction body pushes over a link that never delivers (partitioned,
+  // no nack); stopping the pushing instance aborts the wait.
+  std::atomic<bool> pushing{false};
+  JunctionDesc j;
+  j.name = Symbol("j");
+  j.table_spec.props = {{kWork, false}};
+  j.guard = [](const KvTable& t, const RuntimeView&) { return *t.prop(kWork); };
+  Status st = Status::ok_status();
+  j.body = [&](JunctionEnv& env) {
+    (void)env.table().set_prop_local(kWork, false);
+    pushing.store(true);
+    st = env.push({.to = {Symbol("b"), Symbol("j")},
+                   .update = Update::assert_prop(kWork),
+                   .deadline = Deadline::after(std::chrono::seconds(30))});
+  };
+  j.auto_schedule = true;
+  InstanceDesc d;
+  d.name = Symbol("s");
+  d.type = Symbol("sender");
+  d.junctions.push_back(std::move(j));
+
+  Runtime rt;
+  rt.add_instance(std::move(d));
+  rt.add_instance(echo_instance("b"));
+  ASSERT_TRUE(rt.start(Symbol("s")).ok());
+  ASSERT_TRUE(rt.start(Symbol("b")).ok());
+  rt.router().set_partition(Symbol("s"), Symbol("b"), true);
+  const auto before = steady_now();
+  ASSERT_TRUE(rt.inject({Symbol("s"), Symbol("j")},
+                        Update::assert_prop(kWork))
+                  .ok());
+  ASSERT_TRUE(eventually([&] { return pushing.load(); }));
+  ASSERT_TRUE(rt.stop(Symbol("s")).ok());  // quiesces: the body returned
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, Errc::kUnreachable);
+  EXPECT_LT(steady_now() - before, std::chrono::seconds(5));
 }
 
 }  // namespace

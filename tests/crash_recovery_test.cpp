@@ -107,8 +107,12 @@ TEST(CrashRecovery, RestartOfProcessRecoversAppliedState) {
     rt.add_instance(store_instance("a"));
     ASSERT_TRUE(rt.start(Symbol("a")).ok());
     ASSERT_TRUE(push_value(rt, "a", "before-crash").ok());
-    ASSERT_TRUE(eventually([&] { return read_value(rt, "a") ==
-                                        "before-crash"; }));
+    // The acks mean "enqueued": wait until the body has also run (and
+    // retracted Work), so the process dies with nothing in flight.
+    ASSERT_TRUE(eventually([&] {
+      return read_value(rt, "a") == "before-crash" &&
+             rt.runs_completed(Symbol("a"), Symbol("j")) >= 1;
+    }));
   }  // runtime destroyed: "the process died"
   RuntimeOptions opts;
   opts.durability_dir = dir.path;

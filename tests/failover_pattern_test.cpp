@@ -213,6 +213,22 @@ TEST(FailoverPattern, ServesThroughWarmReplicas) {
   }
 }
 
+TEST(FailoverPattern, BackToBackRequestsNeverLoseTheCallHandshake) {
+  // f::c asserts the next Call as soon as a grant ends, possibly while
+  // f::b's run that served the previous one is still going. f::b must not
+  // retract Call after that (the local-priority rule would drop the new
+  // Call): every request is then served by its first Req, and nothing
+  // complains about a timed-out handshake.
+  Fixture fx;
+  ASSERT_TRUE(fx.request(fx.set("warm", "w")).ok());
+  const int complaints = fx.front->complaints.load();
+  for (int i = 0; i < 300; ++i) {
+    auto r = fx.request(fx.set("k" + std::to_string(i % 16), "v"));
+    ASSERT_TRUE(r.ok()) << r.error().to_string();
+  }
+  EXPECT_EQ(fx.front->complaints.load(), complaints);
+}
+
 TEST(FailoverPattern, SurvivesBackendCrash) {
   Fixture fx;
   for (int i = 0; i < 5; ++i) {

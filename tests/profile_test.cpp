@@ -279,6 +279,12 @@ TEST(ProfileTest, DestructorWritesProfileOut) {
     rt.add_instance(worker_instance("solo", 500'000));
     ASSERT_TRUE(rt.start(Symbol("solo")).ok());
     ASSERT_TRUE(push_work(rt, "solo").ok());
+    // The ack means "enqueued", not "ran": wait for the fire before the
+    // runtime (and its profile write) goes out of scope.
+    obs::JunctionProfile* slot = rt.profiler()->junction("solo", "j");
+    ASSERT_TRUE(eventually([&] {
+      return slot->fires.load(std::memory_order_relaxed) >= 1;
+    }));
   }
   const auto loaded = obs::load_cost_profile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
