@@ -135,6 +135,32 @@ pid_t spawn_shard_host(const char* self, std::uint16_t listen_port,
   return pid;
 }
 
+// Owns the spawned shard host: every exit path, early failures included,
+// kills and reaps it, so a failed run leaves no orphan serving forever.
+class ShardHost {
+ public:
+  ShardHost() = default;
+  ShardHost(const ShardHost&) = delete;
+  ShardHost& operator=(const ShardHost&) = delete;
+  ~ShardHost() { stop(SIGKILL); }
+
+  void spawn(const char* self, std::uint16_t listen_port,
+             std::uint16_t parent_port) {
+    stop(SIGKILL);
+    pid_ = spawn_shard_host(self, listen_port, parent_port);
+  }
+  void stop(int sig) {
+    if (pid_ <= 0) return;
+    ::kill(pid_, sig);
+    ::waitpid(pid_, nullptr, 0);
+    pid_ = -1;
+  }
+  pid_t pid() const { return pid_; }
+
+ private:
+  pid_t pid_ = -1;
+};
+
 Status push_key(Runtime& rt, int key, Nanos deadline) {
   const char* shard = kShardNames[key % kShards];  // key -> shard routing
   const std::string val = "value-" + std::to_string(key);
@@ -186,9 +212,9 @@ int main(int argc, char** argv) {
 
   std::printf("[front] listener on port %u, shard host expected on %u\n",
               rt.tcp_transport()->port(), shard_port);
-  pid_t child = spawn_shard_host(argv[0], shard_port,
-                                 rt.tcp_transport()->port());
-  std::printf("[front] spawned shard host pid %d\n", child);
+  ShardHost child;
+  child.spawn(argv[0], shard_port, rt.tcp_transport()->port());
+  std::printf("[front] spawned shard host pid %d\n", child.pid());
 
   // Phase 1: sharded writes across the process boundary.
   if (!await_mesh(rt, 20s)) {
@@ -209,8 +235,7 @@ int main(int argc, char** argv) {
               per_shard[0], per_shard[1]);
 
   // Phase 2: kill the shard host; pushes must fail promptly, not wedge.
-  ::kill(child, SIGKILL);
-  ::waitpid(child, nullptr, 0);
+  child.stop(SIGKILL);
   auto down = push_key(rt, 1, 500ms);
   if (down.ok()) {
     std::fprintf(stderr, "FAIL: push succeeded against a dead peer\n");
@@ -220,11 +245,10 @@ int main(int argc, char** argv) {
               down.error().to_string().c_str());
 
   // Phase 3: respawn on the same port; reconnect-under-backoff recovers.
-  child = spawn_shard_host(argv[0], shard_port, rt.tcp_transport()->port());
-  std::printf("[front] respawned shard host pid %d\n", child);
+  child.spawn(argv[0], shard_port, rt.tcp_transport()->port());
+  std::printf("[front] respawned shard host pid %d\n", child.pid());
   if (!await_mesh(rt, 30s)) {
     std::fprintf(stderr, "FAIL: pushes never recovered after restart\n");
-    ::kill(child, SIGKILL);
     return 1;
   }
   for (int key = 0; key < 200; ++key) {
@@ -232,7 +256,6 @@ int main(int argc, char** argv) {
     if (!st.ok()) {
       std::fprintf(stderr, "FAIL: post-restart push of key %d: %s\n", key,
                    st.error().to_string().c_str());
-      ::kill(child, SIGKILL);
       return 1;
     }
   }
@@ -242,8 +265,7 @@ int main(int argc, char** argv) {
   // Final teardown: clean SIGTERM when profiling (the child's runtime
   // destructor writes its profile_out), SIGKILL otherwise.
   const bool profiling = !profile_path("shard").empty();
-  ::kill(child, profiling ? SIGTERM : SIGKILL);
-  ::waitpid(child, nullptr, 0);
+  child.stop(profiling ? SIGTERM : SIGKILL);
   if (profiling) {
     std::printf("[front] shard profile written to %s\n",
                 profile_path("shard").c_str());

@@ -29,8 +29,12 @@
 // before and after the body, and KvTable::wait releases the table mutex
 // before it returns, never pushing from its predicate); the app locks some
 // hosts push under (the rebalanced service's req_mu_, the replicated
-// service's mu_) are never taken on the delivery path. So the only blocking
-// edge is still sender -> ack, and it carries a deadline.
+// service's mu_) are never taken on the delivery path. A host thread that
+// call()s a junction runs its body itself (Scheduler::run_here) and pushes
+// like any body; Runtime::call releases InstanceRt::mu before running it.
+// So the only blocking edge is still sender -> ack, and it carries a
+// deadline. A call() caller must also hold no lock that the body's host
+// blocks take: it would now block its own thread (DESIGN.md "Scheduler").
 #pragma once
 
 #include <condition_variable>

@@ -494,6 +494,7 @@ Status Runtime::start(Symbol instance) {
       }
     }
     jrt->pending_schedules = 0;
+    jrt->consumed = jrt->completed;
     jrt->guard_rejections = 0;
     jrt->eval_active = false;
     jrt->blocked_traced = false;
@@ -810,6 +811,7 @@ Status Runtime::call(Symbol instance, Symbol junction, Deadline deadline) {
   }
   std::uint64_t target;
   std::uint64_t rejections_before;
+  Scheduler::Entity* entity;
   {
     std::scoped_lock lock(inst->mu);
     if (inst->state != InstanceRt::State::kRunning) {
@@ -821,14 +823,27 @@ Status Runtime::call(Symbol instance, Symbol junction, Deadline deadline) {
       return make_error(Errc::kUndefinedName,
                         "unknown junction '" + junction.str() + "'");
     }
-    target = jrt->completed + 1;
+    // An auto junction takes no requests: any run completing after this
+    // one is counted serves it.
+    target = jrt->desc.auto_schedule
+                 ? jrt->completed + 1
+                 : jrt->consumed + jrt->pending_schedules + 1;
     rejections_before = jrt->guard_rejections;
     ++jrt->pending_schedules;
     inst->cv.notify_all();
-    sched_->wake(jrt->entity);
+    entity = jrt->entity;
   }
   if (ins_.junction_scheduled != nullptr) ins_.junction_scheduled->add();
   trace(obs::TraceEvent::Kind::kJunctionScheduled, instance, junction);
+  // Caller-runs: this thread has nothing to do until the run ends, so it
+  // runs the eval itself when the junction is idle, and the wait below
+  // finds the run already completed. A call() from inside a body leaves
+  // the run to the pool: running it here would nest one eval inside
+  // another on this thread. A caller must hold no lock that the body's
+  // host blocks take (DESIGN.md "Scheduler").
+  if (t_current_inst != nullptr || !sched_->run_here(entity)) {
+    sched_->wake(entity);
+  }
   // Lazy blocking announcement: a body call()ing another junction must not
   // pin its worker while it waits (the pool spawns a spare), but the common
   // already-completed path must not spawn one.
@@ -1116,6 +1131,7 @@ EvalResult Runtime::junction_eval_inner(InstanceRt& inst, JunctionRt& jrt) {
     std::scoped_lock lock(inst.mu);
     if (jrt.pending_schedules == 0) return EvalResult::kSpurious;
     --jrt.pending_schedules;
+    ++jrt.consumed;
   }
   run_junction_body(inst, jrt);
   // Auto junctions re-check their guard after every run (the body may have

@@ -352,6 +352,12 @@ class Runtime {
     std::unique_ptr<Wal> wal;  // non-null only while durability is on
     std::uint64_t pending_schedules = 0;  // guarded by InstanceRt::mu
     std::uint64_t completed = 0;
+    // Requests a manual junction's runs have taken off pending_schedules
+    // (guarded by InstanceRt::mu). Runs complete in the order they take
+    // them, so the run serving a call() completes as the
+    // (consumed + pending)-th: call() waits for that one, not for a run
+    // already in flight with an earlier request.
+    std::uint64_t consumed = 0;
     // Guard evaluations that said no while a schedule request was pending
     // (guarded by InstanceRt::mu); call() diffs this to tell guard
     // rejection apart from timeout.

@@ -1,6 +1,7 @@
 #include "compart/sched.hpp"
 
 #include <algorithm>
+#include <cerrno>
 
 #include "obs/profile.hpp"
 #include "support/blocking.hpp"
@@ -9,11 +10,28 @@
 namespace csaw {
 namespace {
 
-// Blocked-time attribution: the entity whose eval is running on this worker
-// and the steady timestamp of the outermost blocking-region entry. Written
-// only by the owning worker thread.
+// Blocked-time attribution: the entity whose eval is running on this thread
+// (a worker, or a run_here caller) and the steady timestamp of the outermost
+// blocking-region entry. Written only by the owning thread.
 thread_local Scheduler::Entity* t_running_entity = nullptr;
 thread_local std::uint64_t t_block_started_ns = 0;
+// Set for the lifetime of worker_main: this thread pops the ready queue.
+thread_local bool t_pool_worker = false;
+
+void attribute_block_enter() {
+  if (t_running_entity != nullptr && t_running_entity->prof != nullptr) {
+    t_block_started_ns = steady_ns();
+  }
+}
+
+void attribute_block_exit() {
+  if (t_block_started_ns == 0) return;
+  if (t_running_entity != nullptr && t_running_entity->prof != nullptr) {
+    t_running_entity->prof->blocked_ns.fetch_add(
+        steady_ns() - t_block_started_ns, std::memory_order_relaxed);
+  }
+  t_block_started_ns = 0;
+}
 
 }  // namespace
 
@@ -23,10 +41,12 @@ Scheduler::Scheduler(SchedulerOptions options, obs::Metrics* metrics)
       queue_head_(&stub_),
       queue_tail_(&stub_) {
   if (tick_ <= Nanos::zero()) tick_ = Millis{1};
+  CSAW_CHECK(sem_init(&park_sem_, 0, 0) == 0) << "sem_init failed";
   if (metrics != nullptr) {
     wakeups_ = &metrics->counter("sched_wakeups");
     coalesced_ = &metrics->counter("sched_wake_coalesced");
     evals_ = &metrics->counter("sched_evals");
+    caller_runs_ = &metrics->counter("sched_caller_runs");
     spurious_ = &metrics->counter("sched_evals_spurious");
     timer_fires_ = &metrics->counter("sched_timer_fires");
     ready_depth_ = &metrics->gauge("sched_ready_depth");
@@ -39,7 +59,10 @@ Scheduler::Scheduler(SchedulerOptions options, obs::Metrics* metrics)
   }
 }
 
-Scheduler::~Scheduler() { stop(); }
+Scheduler::~Scheduler() {
+  stop();
+  sem_destroy(&park_sem_);
+}
 
 int Scheduler::resolve_workers(int requested) {
   if (requested > 0) return requested;
@@ -77,17 +100,18 @@ void Scheduler::stop() {
   }
   if (!started_.load()) return;
   {
-    std::scoped_lock lock(park_mu_);
-    park_cv_.notify_all();
-  }
-  {
     std::scoped_lock lock(timer_mu_);
     timer_cv_.notify_all();
   }
-  // Barrier: any in-flight spare spawn holds spawn_mu_; once we acquire it
-  // no further spawns can start (on_worker_block re-checks stopping_ under
-  // the lock), so the thread vector below is stable.
-  { std::scoped_lock lock(spawn_mu_); }
+  {
+    // Barrier: any in-flight spare spawn holds spawn_mu_; once we acquire
+    // it no further spawns can start (on_worker_block re-checks stopping_
+    // under the lock), so the thread vector below is stable. One post per
+    // worker frees every parked one; a worker not yet parked sees
+    // stopping_ instead.
+    std::scoped_lock lock(spawn_mu_);
+    for (int i = 0; i < total_spawned_; ++i) sem_post(&park_sem_);
+  }
   for (auto& t : worker_threads_) {
     if (t.joinable()) t.join();
   }
@@ -146,9 +170,7 @@ void Scheduler::enqueue_ready(Entity* entity) {
 
 void Scheduler::maybe_unpark() {
   if (sleepers_.load(std::memory_order_seq_cst) == 0) return;
-  std::scoped_lock lock(park_mu_);
-  ++park_signals_;
-  park_cv_.notify_one();
+  sem_post(&park_sem_);
 }
 
 void Scheduler::idle_park() {
@@ -157,11 +179,9 @@ void Scheduler::idle_park() {
     sleepers_.fetch_sub(1, std::memory_order_relaxed);
     return;
   }
-  {
-    std::unique_lock lock(park_mu_);
-    park_cv_.wait(lock,
-                  [&] { return park_signals_ > 0 || stopping_.load(); });
-    if (park_signals_ > 0) --park_signals_;
+  // A post that found no sleeper, or was meant for another, only makes a
+  // later park return at once: the worker loops and finds the queue empty.
+  while (sem_wait(&park_sem_) != 0 && errno == EINTR) {
   }
   sleepers_.fetch_sub(1, std::memory_order_relaxed);
 }
@@ -200,11 +220,37 @@ void Scheduler::wake(Entity* entity) {
   }
 }
 
+bool Scheduler::run_here(Entity* entity) {
+  if (!started_.load(std::memory_order_acquire) ||
+      stopping_.load(std::memory_order_acquire)) {
+    return false;
+  }
+  std::uint32_t expected = kIdle;
+  if (!entity->state.compare_exchange_strong(expected, kRunning,
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_relaxed)) {
+    return false;
+  }
+  if (caller_runs_ != nullptr) caller_runs_->add();
+  // The caller's blocking is attributed to the entity but spawns no spare:
+  // a blocked caller holds no pool worker.
+  BlockingHooks& hooks = thread_blocking_hooks();
+  const BlockingHooks saved = hooks;
+  hooks.enter = [](void*) { attribute_block_enter(); };
+  hooks.exit = [](void*) { attribute_block_exit(); };
+  hooks.ctx = nullptr;
+  run_entity(entity);
+  hooks = saved;
+  return true;
+}
+
 void Scheduler::run_entity(Entity* entity) {
-  entity->state.store(kRunning, std::memory_order_release);
+  // A run_here eval was never queued: it records no queue delay and
+  // occupies no pool worker.
+  const bool queued = t_pool_worker;
   obs::JunctionProfile* prof = entity->prof;
   const auto woke = entity->wake_ns.exchange(0, std::memory_order_relaxed);
-  if (woke != 0 && (wake_to_eval_ != nullptr || prof != nullptr)) {
+  if (queued && woke != 0 && (wake_to_eval_ != nullptr || prof != nullptr)) {
     const auto now = steady_now().time_since_epoch().count();
     if (now > woke) {
       const auto delay = static_cast<std::uint64_t>(now - woke);
@@ -214,7 +260,7 @@ void Scheduler::run_entity(Entity* entity) {
     }
   }
   if (evals_ != nullptr) evals_->add();
-  if (workers_busy_ != nullptr) workers_busy_->add();
+  if (queued && workers_busy_ != nullptr) workers_busy_->add();
   entity->eval_count.fetch_add(1, std::memory_order_relaxed);
   // Thread-CPU delta around the eval: pure compute, since the CPU clock
   // does not advance while the body blocks (blocked time is attributed
@@ -233,7 +279,7 @@ void Scheduler::run_entity(Entity* entity) {
       prof->body_cpu_hist_ns.record(cpu);
     }
   }
-  if (workers_busy_ != nullptr) workers_busy_->sub();
+  if (queued && workers_busy_ != nullptr) workers_busy_->sub();
   if (result == EvalResult::kSpurious && spurious_ != nullptr) {
     spurious_->add();
   }
@@ -244,7 +290,7 @@ void Scheduler::run_entity(Entity* entity) {
     return;
   }
   // Either the eval asked to run again or a wake landed mid-eval
-  // (kRunningRearm). Only the owning worker leaves the running states, so
+  // (kRunningRearm). Only the running thread leaves the running states, so
   // a plain store is safe; requeue at the back for fairness.
   entity->state.store(kQueued, std::memory_order_release);
   enqueue_ready(entity);
@@ -268,6 +314,7 @@ void Scheduler::worker_main() {
     static_cast<Scheduler*>(ctx)->on_worker_unblock();
   };
   hooks.ctx = this;
+  t_pool_worker = true;
   while (true) {
     Entity* entity = nullptr;
     {
@@ -281,17 +328,17 @@ void Scheduler::worker_main() {
     }
     ready_count_.fetch_sub(1, std::memory_order_seq_cst);
     if (ready_depth_ != nullptr) ready_depth_->sub();
+    entity->state.store(kRunning, std::memory_order_release);
     run_entity(entity);
   }
+  t_pool_worker = false;
   hooks = BlockingHooks{};
 }
 
 void Scheduler::on_worker_block() {
   blocked_.fetch_add(1, std::memory_order_seq_cst);
   if (workers_blocked_ != nullptr) workers_blocked_->add();
-  if (t_running_entity != nullptr && t_running_entity->prof != nullptr) {
-    t_block_started_ns = steady_ns();
-  }
+  attribute_block_enter();
   std::scoped_lock lock(spawn_mu_);
   if (stopping_.load()) return;
   // Keep the pool's *unblocked* head-count at the configured size: a body
@@ -303,13 +350,7 @@ void Scheduler::on_worker_block() {
 void Scheduler::on_worker_unblock() {
   blocked_.fetch_sub(1, std::memory_order_seq_cst);
   if (workers_blocked_ != nullptr) workers_blocked_->sub();
-  if (t_block_started_ns != 0) {
-    if (t_running_entity != nullptr && t_running_entity->prof != nullptr) {
-      t_running_entity->prof->blocked_ns.fetch_add(
-          steady_ns() - t_block_started_ns, std::memory_order_relaxed);
-    }
-    t_block_started_ns = 0;
-  }
+  attribute_block_exit();
 }
 
 // --- timer wheel ------------------------------------------------------------
@@ -360,7 +401,7 @@ void Scheduler::timer_main() {
       }
     }
     if (!due.empty()) {
-      lock.unlock();  // wake takes park_mu_; keep timer_mu_ a leaf
+      lock.unlock();  // keep timer_mu_ a leaf: wake() enqueues and posts
       for (Entity* e : due) {
         if (timer_fires_ != nullptr) timer_fires_->add();
         wake(e);

@@ -14,7 +14,7 @@
 //     max(2, min(8, hw))) drains the ready queue. Producers (KV change
 //     listeners, delivery threads, schedule()) push lock-free (Vyukov
 //     intrusive MPSC); only consumers serialize on a pop mutex. Idle
-//     workers park on a condvar: an idle deployment costs zero CPU.
+//     workers park on a semaphore: an idle deployment costs zero CPU.
 //   * Wakes are driven by static guard analysis (core/deps.cpp): a key
 //     write wakes only the junctions whose guards read that key. Guards
 //     the analyzer cannot see through (hand-written GuardFns, remote
@@ -26,6 +26,10 @@
 //     spare so runnable junctions never starve behind a parked one.
 //     Spares persist until shutdown, so growth is bounded by the peak
 //     number of concurrently blocked bodies.
+//   * A thread that would only wait for an eval (a host thread in
+//     Runtime::call) may run it itself through run_here when the entity
+//     is idle: no pool handoff at either end. It is not a pool worker, so
+//     its blocking attributes blocked time but never spawns a spare.
 #pragma once
 
 #include <atomic>
@@ -38,6 +42,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <semaphore.h>
 
 #include "compart/message.hpp"
 #include "obs/metrics.hpp"
@@ -150,6 +156,15 @@ class Scheduler {
   // running eval sets the rearm bit instead of double-queueing.
   void wake(Entity* entity);
 
+  // Runs one eval of an idle entity on the calling thread (kIdle ->
+  // kRunning by CAS) and returns true. Returns false, running nothing, when
+  // the scheduler is not started or is stopping, or the entity is already
+  // queued or running. A rearm requeues the entity for the pool as a
+  // worker's eval would. The caller must not be inside an eval (a nested
+  // run could wait on the eval it interrupts) and must hold no lock the
+  // eval takes.
+  bool run_here(Entity* entity);
+
   // Arms a one-shot timer-wheel wake, rounded up to the wheel tick.
   // Coalesces with an already-armed timer for the same entity.
   void poll_after(Entity* entity, Nanos delay);
@@ -193,10 +208,13 @@ class Scheduler {
   std::atomic<std::int64_t> ready_count_{0};
 
   // --- worker parking ----------------------------------------------------
-  std::mutex park_mu_;
-  std::condition_variable park_cv_;
+  // One post per unpark, one wait per park. A POSIX semaphore, not a
+  // condvar: glibc 2.36's pthread_cond_signal lost a wakeup here with
+  // several workers parked (every worker asleep with one signal and one
+  // ready entity pending, until the process was killed); a posted count
+  // cannot be missed.
+  sem_t park_sem_;
   std::atomic<int> sleepers_{0};
-  int park_signals_ = 0;  // under park_mu_
 
   // --- pool --------------------------------------------------------------
   std::mutex spawn_mu_;
@@ -220,6 +238,7 @@ class Scheduler {
   obs::Counter* wakeups_ = nullptr;         // idle->queued transitions
   obs::Counter* coalesced_ = nullptr;       // wakes folded into a pending one
   obs::Counter* evals_ = nullptr;           // eval callbacks run
+  obs::Counter* caller_runs_ = nullptr;     // of those, run_here evals
   obs::Counter* spurious_ = nullptr;        // evals whose guard was false
   obs::Counter* timer_fires_ = nullptr;     // wheel-driven wakes
   obs::Gauge* ready_depth_ = nullptr;       // current ready-queue depth

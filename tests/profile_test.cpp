@@ -1,6 +1,7 @@
 // Cost-profiler tests: body CPU attributed to the junction that burned it,
 // ready-queue delay visible under a starved one-worker pool (and exported
-// through the sched_* metrics histograms), CostProfile JSON round-trips,
+// through the sched_* metrics histograms), blocked time of a body that
+// call() ran on the calling thread, CostProfile JSON round-trips,
 // cross-process merge preserves CPU/eval totals exactly, the destructor
 // writes profile_out, and --diff flags regressions in both document modes.
 #include <gtest/gtest.h>
@@ -176,6 +177,47 @@ TEST(ProfileTest, QueueDelayNonzeroUnderOneWorker) {
   EXPECT_GT(metrics.histogram("sched_queue_delay_us").count(), 0u);
   EXPECT_GT(metrics.histogram("sched_body_cpu_us").count(), 0u);
   EXPECT_GT(metrics.histogram("sched_body_cpu_us").sum(), 0u);
+}
+
+// --- blocked time of a caller-run eval --------------------------------------
+
+TEST(ProfileTest, CallerRunBodyAttributesItsBlockedTime) {
+  // call() from this thread runs the body here, not on a pool worker. Its
+  // 20 ms `wait` must still count as the junction's blocked time.
+  obs::Profiler profiler;
+  RuntimeOptions opts;
+  opts.profiler = &profiler;
+  Runtime rt(opts);
+  {
+    JunctionDesc j;
+    j.name = Symbol("j");
+    j.table_spec.props = {{kWork, false}};
+    j.body = [](JunctionEnv& env) {
+      (void)env.table().wait(
+          [](const TableView& v) { return v.prop(kWork); }, {},
+          Deadline::after(20ms));
+    };
+    InstanceDesc d;
+    d.name = Symbol("waiter");
+    d.type = Symbol("waiter");
+    d.junctions.push_back(std::move(j));
+    rt.add_instance(std::move(d));
+  }
+  ASSERT_TRUE(rt.start(Symbol("waiter")).ok());
+  obs::JunctionProfile* slot = profiler.junction("waiter", "j");
+  // Let the eval every start() queues settle before taking the baseline.
+  ASSERT_TRUE(eventually([&] {
+    return slot->evals.load(std::memory_order_relaxed) >= 1;
+  }));
+  std::this_thread::sleep_for(20ms);
+  const auto evals0 = slot->evals.load(std::memory_order_relaxed);
+  const auto blocked0 = slot->blocked_ns.load(std::memory_order_relaxed);
+
+  ASSERT_TRUE(
+      rt.call(Symbol("waiter"), Symbol("j"), Deadline::after(10s)).ok());
+  EXPECT_EQ(slot->evals.load(std::memory_order_relaxed) - evals0, 1u);
+  EXPECT_GE(slot->blocked_ns.load(std::memory_order_relaxed) - blocked0,
+            15'000'000u);
 }
 
 // --- serialization & merge -------------------------------------------------

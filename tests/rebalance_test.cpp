@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <mutex>
 #include <string>
@@ -238,6 +239,17 @@ TEST(Rebalance, ConcurrentWritesDuringHandoffAreNeverLost) {
     }
   });
 
+  // Start the handoff once the writer has its first ack (10 s at most): a
+  // handoff can finish before a freshly started thread sends a request,
+  // and then nothing raced it.
+  const auto writer_up = std::chrono::steady_clock::now() + 10s;
+  while (std::chrono::steady_clock::now() < writer_up) {
+    {
+      std::scoped_lock lock(acked_mu);
+      if (!acked.empty()) break;
+    }
+    std::this_thread::sleep_for(1ms);
+  }
   ASSERT_TRUE(svc.handoff(bucket, 1).ok());
   stop.store(true);
   writer.join();

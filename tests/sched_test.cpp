@@ -1,11 +1,15 @@
 // Event-driven scheduler tests: wake-set precision (an unrelated key write
 // must not evaluate a subscriber), wildcard fallback for hand-written
 // guards, no lost wakeups under sustained load, blocked-worker pool growth,
-// call() deadline-edge accounting, and the guard-formula simplifier
-// feeding the dependency analyzer.
+// call() deadline-edge accounting, caller-runs call() (the body runs on
+// the calling thread unless the caller is itself a body or the junction is
+// already queued or running), and the guard-formula simplifier feeding the
+// dependency analyzer.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -300,6 +304,217 @@ TEST(SchedCall, GuardOpeningAtTheDeadlineNeverReportsTimeout) {
           << "iteration " << i << ": " << st.error().to_string();
     }
   }
+}
+
+// --- caller-runs call() -----------------------------------------------------
+
+InstanceDesc manual_instance(std::string_view name,
+                             std::function<void(JunctionEnv&)> body,
+                             GuardFn guard = nullptr) {
+  JunctionDesc j;
+  j.name = Symbol("j");
+  j.body = std::move(body);
+  j.guard = std::move(guard);
+  InstanceDesc d;
+  d.name = Symbol(name);
+  d.type = Symbol("manual");
+  d.junctions.push_back(std::move(j));
+  return d;
+}
+
+// Waits out the eval every start() queues, so that the junction is idle.
+void settle_start_eval(Runtime& rt, std::string_view inst) {
+  ASSERT_TRUE(eventually(
+      [&] { return rt.junction_evals(Symbol(inst), Symbol("j")) >= 1; }));
+  std::this_thread::sleep_for(20ms);
+}
+
+TEST(SchedCallerRuns, CallFromAPlainThreadRunsTheBodyOnThatThread) {
+  obs::Metrics metrics;
+  RuntimeOptions opts;
+  opts.metrics = &metrics;
+  Runtime rt(opts);
+  std::atomic<std::thread::id> body_thread{};
+  rt.add_instance(manual_instance("a", [&](JunctionEnv&) {
+    body_thread.store(std::this_thread::get_id());
+  }));
+  ASSERT_TRUE(rt.start(Symbol("a")).ok());
+  settle_start_eval(rt, "a");
+  for (int i = 0; i < 50; ++i) {
+    body_thread.store(std::thread::id{});
+    ASSERT_TRUE(rt.call(Symbol("a"), Symbol("j"), Deadline::after(10s)).ok());
+    EXPECT_EQ(body_thread.load(), std::this_thread::get_id()) << "call " << i;
+  }
+  EXPECT_EQ(metrics.counter("sched_caller_runs").value(), 50u);
+}
+
+TEST(SchedCallerRuns, NestedCallFromABodyRunsOnThePool) {
+  Runtime rt;
+  std::atomic<std::thread::id> outer_thread{};
+  std::atomic<std::thread::id> inner_thread{};
+  std::atomic<bool> nested_ok{false};
+  rt.add_instance(manual_instance("inner", [&](JunctionEnv&) {
+    inner_thread.store(std::this_thread::get_id());
+  }));
+  rt.add_instance(manual_instance("outer", [&](JunctionEnv&) {
+    outer_thread.store(std::this_thread::get_id());
+    nested_ok.store(
+        rt.call(Symbol("inner"), Symbol("j"), Deadline::after(10s)).ok());
+  }));
+  ASSERT_TRUE(rt.start(Symbol("inner")).ok());
+  ASSERT_TRUE(rt.start(Symbol("outer")).ok());
+  settle_start_eval(rt, "inner");
+  settle_start_eval(rt, "outer");
+  ASSERT_TRUE(rt.call(Symbol("outer"), Symbol("j"), Deadline::after(10s)).ok());
+  EXPECT_TRUE(nested_ok.load());
+  EXPECT_EQ(outer_thread.load(), std::this_thread::get_id());
+  EXPECT_NE(inner_thread.load(), std::thread::id{});
+  EXPECT_NE(inner_thread.load(), std::this_thread::get_id());
+}
+
+TEST(SchedCallerRuns, ClosedGuardRejectsAndVolatileGuardRepolls) {
+  // A hand-written guard is volatile: nothing wakes it but the timer wheel.
+  // The caller's own eval sees it closed; a later re-poll on the pool must
+  // still find it open, and a guard that never opens is kGuardRejected at
+  // the deadline.
+  Runtime rt;
+  std::atomic<bool> open{false};
+  std::atomic<int> runs{0};
+  rt.add_instance(manual_instance(
+      "a", [&](JunctionEnv&) { runs.fetch_add(1); },
+      [&](const KvTable&, const RuntimeView&) { return open.load(); }));
+  ASSERT_TRUE(rt.start(Symbol("a")).ok());
+  settle_start_eval(rt, "a");
+
+  auto st = rt.call(Symbol("a"), Symbol("j"), Deadline::after(100ms));
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, Errc::kGuardRejected);
+  EXPECT_EQ(runs.load(), 0);
+
+  // The rejected request is still pending: opening the guard runs it once.
+  open.store(true);
+  ASSERT_TRUE(eventually([&] { return runs.load() == 1; }));
+
+  open.store(false);
+  std::thread opener([&] {
+    std::this_thread::sleep_for(50ms);
+    open.store(true);
+  });
+  st = rt.call(Symbol("a"), Symbol("j"), Deadline::after(5s));
+  opener.join();
+  EXPECT_TRUE(st.ok()) << st.error().to_string();
+  EXPECT_EQ(runs.load(), 2);
+}
+
+TEST(SchedCallerRuns, ConcurrentCallersNeverOverlapEvals) {
+  Runtime rt;
+  std::atomic<int> in_body{0};
+  std::atomic<bool> overlap{false};
+  std::atomic<int> runs{0};
+  rt.add_instance(manual_instance("a", [&](JunctionEnv&) {
+    if (in_body.fetch_add(1) != 0) overlap.store(true);
+    runs.fetch_add(1);
+    std::this_thread::yield();
+    in_body.fetch_sub(1);
+  }));
+  ASSERT_TRUE(rt.start(Symbol("a")).ok());
+  constexpr int kThreads = 8;
+  constexpr int kCalls = 200;
+  std::atomic<int> ok{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kCalls; ++i) {
+        if (rt.call(Symbol("a"), Symbol("j"), Deadline::after(10s)).ok()) {
+          ok.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(ok.load(), kThreads * kCalls);
+  // Each call() returned after the run that took its own request, not
+  // after one already in flight with an earlier request.
+  EXPECT_GE(runs.load(), kThreads * kCalls);
+  EXPECT_FALSE(overlap.load());
+}
+
+TEST(SchedCallerRuns, CallRacingStopReturnsNeverHangs) {
+  Runtime rt;
+  rt.add_instance(manual_instance("a", [](JunctionEnv&) {
+    std::this_thread::sleep_for(200us);
+  }));
+  for (int round = 0; round < 10; ++round) {
+    ASSERT_TRUE(rt.start(Symbol("a")).ok());
+    std::atomic<bool> started{false};
+    std::optional<Errc> failure;
+    std::thread caller([&] {
+      while (true) {
+        auto st = rt.call(Symbol("a"), Symbol("j"), Deadline::after(5s));
+        started.store(true);
+        if (!st.ok()) {
+          failure = st.error().code;
+          return;
+        }
+      }
+    });
+    ASSERT_TRUE(eventually([&] { return started.load(); }));
+    std::this_thread::sleep_for(std::chrono::microseconds(300 * round));
+    ASSERT_TRUE(rt.stop(Symbol("a")).ok());
+    caller.join();
+    ASSERT_TRUE(failure.has_value());
+    EXPECT_EQ(*failure, Errc::kUnreachable) << "round " << round;
+  }
+}
+
+TEST(SchedCallerRuns, QueuedAutoJunctionCompletesOnThePool) {
+  // One worker, held by a CPU-spinning body (spinning announces no block,
+  // so no spare appears). A push queues the auto junction behind it; the
+  // call() then finds it queued and must leave the run to the pool.
+  obs::Metrics metrics;
+  RuntimeOptions opts;
+  opts.metrics = &metrics;
+  opts.scheduler.workers = 1;
+  Runtime rt(opts);
+  rt.add_instance(manual_instance("spin", [](JunctionEnv&) {
+    const auto until = steady_now() + 200ms;
+    while (steady_now() < until) {
+    }
+  }));
+  std::atomic<std::thread::id> body_thread{};
+  {
+    JunctionDesc j;
+    j.name = Symbol("j");
+    j.table_spec.props = {{kWork, false}};
+    j.guard = [](const KvTable& t, const RuntimeView&) {
+      return *t.prop(kWork);
+    };
+    j.body = [&](JunctionEnv& env) {
+      body_thread.store(std::this_thread::get_id());
+      (void)env.table().set_prop_local(kWork, false);
+    };
+    j.auto_schedule = true;
+    InstanceDesc d;
+    d.name = Symbol("a");
+    d.type = Symbol("echo");
+    d.junctions.push_back(std::move(j));
+    rt.add_instance(std::move(d));
+  }
+  ASSERT_TRUE(rt.start(Symbol("spin")).ok());
+  ASSERT_TRUE(rt.start(Symbol("a")).ok());
+  settle_start_eval(rt, "spin");
+  settle_start_eval(rt, "a");
+
+  ASSERT_TRUE(rt.schedule(Symbol("spin"), Symbol("j")).ok());
+  std::this_thread::sleep_for(20ms);  // the spin holds the only worker
+  ASSERT_TRUE(push_assert(rt, "a", kWork).ok());  // queues a::j
+  const auto caller_runs = metrics.counter("sched_caller_runs").value();
+  auto st = rt.call(Symbol("a"), Symbol("j"), Deadline::after(10s));
+  EXPECT_TRUE(st.ok()) << st.error().to_string();
+  EXPECT_NE(body_thread.load(), std::thread::id{});
+  EXPECT_NE(body_thread.load(), std::this_thread::get_id());
+  EXPECT_EQ(metrics.counter("sched_caller_runs").value(), caller_runs);
 }
 
 // --- late registration ------------------------------------------------------
