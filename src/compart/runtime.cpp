@@ -91,7 +91,10 @@ Runtime::Runtime(RuntimeOptions options) : options_(options) {
   }
   sched_ = std::make_unique<Scheduler>(options_.scheduler, options_.metrics);
   profiler_ = options_.profiler;
-  if (profiler_ == nullptr && !options_.profile_out.empty()) {
+  // The profiler is the only home of per-junction and per-link costs, so a
+  // metrics registry (whose /metrics renders them) implies one too.
+  if (profiler_ == nullptr &&
+      (!options_.profile_out.empty() || options_.metrics != nullptr)) {
     owned_profiler_ = std::make_unique<obs::Profiler>();
     profiler_ = owned_profiler_.get();
   }
@@ -106,7 +109,6 @@ Runtime::Runtime(RuntimeOptions options) : options_(options) {
     ins_.push_acked = &m.counter("push_acked");
     ins_.push_nacked = &m.counter("push_nacked");
     ins_.push_timeout = &m.counter("push_timeout");
-    ins_.junction_runs = &m.counter("junction_runs");
     ins_.junction_scheduled = &m.counter("junction_scheduled");
     ins_.guard_rejected = &m.counter("guard_rejected");
     ins_.kv_applied = &m.counter("kv_updates_applied");
@@ -120,8 +122,6 @@ Runtime::Runtime(RuntimeOptions options) : options_(options) {
     ins_.wal_replayed_records = &m.counter("wal_replayed_records");
     ins_.wal_tail_torn = &m.counter("wal_tail_torn");
     ins_.push_latency_ns = &m.histogram("push_latency_ns");
-    ins_.junction_run_ns = &m.histogram("junction_run_ns");
-    ins_.tcp_rtt_us = &m.histogram("tcp_rtt_us");
     ins_.sched_wildcard_guards = &m.gauge("sched_wildcard_guards");
   }
   if (!options_.durability_dir.empty()) {
@@ -188,7 +188,7 @@ Runtime::Runtime(RuntimeOptions options) : options_(options) {
     // Safe capture: the exposer's accept thread joins in ~Runtime before
     // the members this callback reads are torn down (exposer_ is declared
     // after tcp_/instances_, so it is destroyed first).
-    exposer_->set_profile_source([this] { return cost_profile_json(); });
+    exposer_->set_profile_source([this] { return cost_profile(); });
   }
   constructed_.store(true, std::memory_order_release);
   constructed_.notify_all();
@@ -309,10 +309,7 @@ Envelope Runtime::make_heartbeat() {
 }
 
 void Runtime::handle_heartbeat(const Envelope& env) {
-  if (detector_ == nullptr && profiler_ == nullptr &&
-      ins_.tcp_rtt_us == nullptr) {
-    return;
-  }
+  if (detector_ == nullptr && profiler_ == nullptr) return;
   ByteReader r(env.update.value.bytes);
   auto count = r.uvarint();
   if (!count) return;  // malformed gossip: ignore, the next one will come
@@ -355,7 +352,6 @@ void Runtime::handle_heartbeat(const Envelope& env) {
     if (now < *echo_ts + *hold) continue;
     const std::uint64_t rtt = now - *echo_ts - *hold;
     if (profiler_ != nullptr) profiler_->record_rtt(from, rtt);
-    if (ins_.tcp_rtt_us != nullptr) ins_.tcp_rtt_us->record(rtt / 1000);
   }
 }
 
@@ -966,9 +962,9 @@ std::vector<obs::LinkCost> Runtime::live_link_costs() const {
   return rows;
 }
 
-std::string Runtime::cost_profile_json() const {
+obs::CostProfile Runtime::cost_profile() const {
   if (profiler_ == nullptr) return {};
-  return profiler_->snapshot_json(live_table_costs(), live_link_costs());
+  return profiler_->snapshot(live_table_costs(), live_link_costs());
 }
 
 Runtime::InstanceRt* Runtime::find(Symbol instance) const {
@@ -988,8 +984,7 @@ Runtime::JunctionRt* Runtime::find_junction(InstanceRt& inst,
 void Runtime::run_junction_body(InstanceRt& inst, JunctionRt& jrt) {
   obs::JunctionProfile* prof =
       jrt.entity != nullptr ? jrt.entity->prof : nullptr;
-  const bool timed = options_.trace_sink != nullptr ||
-                     ins_.junction_run_ns != nullptr || prof != nullptr;
+  const bool timed = options_.trace_sink != nullptr || prof != nullptr;
   // This run's span: child of the most recently delivered traced push (a
   // cross-instance edge), root of a fresh trace otherwise. The body's own
   // pushes nest under it via the thread-local context.
@@ -1024,12 +1019,10 @@ void Runtime::run_junction_body(InstanceRt& inst, JunctionRt& jrt) {
     ++jrt.completed;
   }
   inst.cv.notify_all();
-  if (ins_.junction_runs != nullptr) ins_.junction_runs->add();
   if (prof != nullptr) prof->fires.fetch_add(1, std::memory_order_relaxed);
   if (timed) {
     const auto dt = static_cast<std::uint64_t>(
         std::chrono::duration_cast<Nanos>(steady_now() - t0).count());
-    if (ins_.junction_run_ns != nullptr) ins_.junction_run_ns->record(dt);
     if (prof != nullptr) {
       prof->body_wall_ns.fetch_add(dt, std::memory_order_relaxed);
     }

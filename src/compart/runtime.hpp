@@ -52,16 +52,11 @@
 #include "obs/expose.hpp"
 #include "obs/hlc.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "support/result.hpp"
 
 namespace csaw {
-
-namespace obs {
-class Profiler;     // obs/profile.hpp
-struct TableCost;   // per-instance KV cost row
-struct LinkCost;    // per-peer transport cost row
-}  // namespace obs
 
 class Runtime;
 class JunctionEnv;
@@ -157,23 +152,26 @@ struct RuntimeOptions {
   // Observability (src/obs). Both pointers are borrowed, may be null, and
   // must outlive the Runtime; null disables the corresponding hooks (each
   // hook is a single predictable branch, so disabled runs pay nothing
-  // measurable). `metrics` receives the counters/histograms listed in
-  // DESIGN.md ("Observability"); `trace_sink` receives every TraceEvent.
+  // measurable). `metrics` receives the process-wide counters, gauges and
+  // histograms listed in DESIGN.md ("Metrics"); `trace_sink` receives every
+  // TraceEvent.
   obs::TraceSink* trace_sink = nullptr;
   obs::Metrics* metrics = nullptr;
   // HTTP exposition of `metrics` (and tracer buffer gauges) on
-  // 127.0.0.1:<port>, serving /metrics in Prometheus text format and
-  // /healthz. -1 disables; 0 binds an ephemeral port (read it back with
+  // 127.0.0.1:<port>, serving /metrics in Prometheus text format, /healthz
+  // and /profile. -1 disables; 0 binds an ephemeral port (read it back with
   // Runtime::metrics_http_port()). Requires `metrics` to be set.
   int metrics_http_port = -1;
-  // Continuous cost profiling (obs/profile.hpp). `profiler` is borrowed,
-  // may be null, and must outlive the Runtime. When set, the scheduler and
-  // transport record per-junction CPU/queue-delay and per-link RTT/queue-
-  // depth into it, and the /metrics listener (if any) also serves the live
-  // CostProfile at /profile. When `profiler` is null but `profile_out`
-  // names a file, the runtime owns a private profiler and writes the final
-  // CostProfile JSON there at destruction (the common single-runtime case;
-  // pass an external profiler to span several runtimes in one artifact).
+  // Continuous cost profiling (obs/profile.hpp), the only home of the
+  // per-junction and per-link costs. `profiler` is borrowed, may be null,
+  // and must outlive the Runtime. When set, the scheduler and transport
+  // record per-junction evals/fires/CPU/queue-delay and per-link RTT/queue-
+  // depth into it; /profile serves its live CostProfile and /metrics renders
+  // the same snapshot as labelled families. When `profiler` is null but
+  // `profile_out` names a file or `metrics` is set, the runtime owns a
+  // private profiler; with `profile_out` it writes the final CostProfile
+  // JSON there at destruction (the common single-runtime case; pass an
+  // external profiler to span several runtimes in one artifact).
   obs::Profiler* profiler = nullptr;
   std::string profile_out;
   // Crash recovery (kv/wal.hpp). When non-empty, every junction table is
@@ -295,12 +293,12 @@ class Runtime {
   }
   [[nodiscard]] obs::Metrics* metrics() const { return options_.metrics; }
   // The cost profiler (borrowed or runtime-owned; null when profiling is
-  // off -- neither RuntimeOptions::profiler nor profile_out was set).
+  // off -- none of RuntimeOptions::profiler, profile_out, metrics was set).
   [[nodiscard]] obs::Profiler* profiler() const { return profiler_; }
-  // Live CostProfile snapshot as JSON -- this runtime's junction slots plus
-  // current table/link rows; empty string when profiling is off. Also what
-  // GET /profile serves.
-  [[nodiscard]] std::string cost_profile_json() const;
+  // Live CostProfile snapshot -- the profiler's junction slots and folded
+  // rows plus current table/link rows; empty when profiling is off. Also
+  // what GET /profile serves and the labelled /metrics families render.
+  [[nodiscard]] obs::CostProfile cost_profile() const;
   // Bound /metrics port (-1 when the HTTP listener is disabled).
   [[nodiscard]] int metrics_http_port() const {
     return exposer_ ? exposer_->port() : -1;
@@ -425,7 +423,6 @@ class Runtime {
     obs::Counter* push_acked = nullptr;
     obs::Counter* push_nacked = nullptr;
     obs::Counter* push_timeout = nullptr;
-    obs::Counter* junction_runs = nullptr;
     obs::Counter* junction_scheduled = nullptr;
     obs::Counter* guard_rejected = nullptr;
     obs::Counter* kv_applied = nullptr;
@@ -439,10 +436,6 @@ class Runtime {
     obs::Counter* wal_replayed_records = nullptr;
     obs::Counter* wal_tail_torn = nullptr;
     obs::Histogram* push_latency_ns = nullptr;
-    obs::Histogram* junction_run_ns = nullptr;
-    // Heartbeat-echo round trips per peer link (microseconds); fed by
-    // handle_heartbeat, mirrored in the cost profile's per-link rtt_ns.
-    obs::Histogram* tcp_rtt_us = nullptr;
     // Junctions whose wake plans resolved to wildcard+timer fallback (the
     // runtime twin of csaw-lint's wake-coverage report); set during
     // wake-plan resolution.

@@ -45,7 +45,6 @@ Scheduler::Scheduler(SchedulerOptions options, obs::Metrics* metrics)
   if (metrics != nullptr) {
     wakeups_ = &metrics->counter("sched_wakeups");
     coalesced_ = &metrics->counter("sched_wake_coalesced");
-    evals_ = &metrics->counter("sched_evals");
     caller_runs_ = &metrics->counter("sched_caller_runs");
     spurious_ = &metrics->counter("sched_evals_spurious");
     timer_fires_ = &metrics->counter("sched_timer_fires");
@@ -53,9 +52,6 @@ Scheduler::Scheduler(SchedulerOptions options, obs::Metrics* metrics)
     workers_gauge_ = &metrics->gauge("sched_workers");
     workers_blocked_ = &metrics->gauge("sched_workers_blocked");
     workers_busy_ = &metrics->gauge("sched_workers_busy");
-    wake_to_eval_ = &metrics->histogram("sched_wake_to_eval_ns");
-    queue_delay_us_ = &metrics->histogram("sched_queue_delay_us");
-    body_cpu_us_ = &metrics->histogram("sched_body_cpu_us");
   }
 }
 
@@ -250,34 +246,26 @@ void Scheduler::run_entity(Entity* entity) {
   const bool queued = t_pool_worker;
   obs::JunctionProfile* prof = entity->prof;
   const auto woke = entity->wake_ns.exchange(0, std::memory_order_relaxed);
-  if (queued && woke != 0 && (wake_to_eval_ != nullptr || prof != nullptr)) {
+  if (queued && woke != 0 && prof != nullptr) {
     const auto now = steady_now().time_since_epoch().count();
     if (now > woke) {
-      const auto delay = static_cast<std::uint64_t>(now - woke);
-      if (wake_to_eval_ != nullptr) wake_to_eval_->record(delay);
-      if (queue_delay_us_ != nullptr) queue_delay_us_->record(delay / 1000);
-      if (prof != nullptr) prof->queue_delay_ns.record(delay);
+      prof->queue_delay_ns.record(static_cast<std::uint64_t>(now - woke));
     }
   }
-  if (evals_ != nullptr) evals_->add();
   if (queued && workers_busy_ != nullptr) workers_busy_->add();
   entity->eval_count.fetch_add(1, std::memory_order_relaxed);
   // Thread-CPU delta around the eval: pure compute, since the CPU clock
   // does not advance while the body blocks (blocked time is attributed
   // separately via the blocking hooks below).
-  const bool timed = prof != nullptr || body_cpu_us_ != nullptr;
-  const std::uint64_t cpu0 = timed ? thread_cpu_ns() : 0;
+  const std::uint64_t cpu0 = prof != nullptr ? thread_cpu_ns() : 0;
   t_running_entity = entity;
   const EvalResult result = entity->eval();
   t_running_entity = nullptr;
-  if (timed) {
+  if (prof != nullptr) {
     const std::uint64_t cpu = thread_cpu_ns() - cpu0;
-    if (body_cpu_us_ != nullptr) body_cpu_us_->record(cpu / 1000);
-    if (prof != nullptr) {
-      prof->evals.fetch_add(1, std::memory_order_relaxed);
-      prof->body_cpu_ns.fetch_add(cpu, std::memory_order_relaxed);
-      prof->body_cpu_hist_ns.record(cpu);
-    }
+    prof->evals.fetch_add(1, std::memory_order_relaxed);
+    prof->body_cpu_ns.fetch_add(cpu, std::memory_order_relaxed);
+    prof->body_cpu_hist_ns.record(cpu);
   }
   if (queued && workers_busy_ != nullptr) workers_busy_->sub();
   if (result == EvalResult::kSpurious && spurious_ != nullptr) {

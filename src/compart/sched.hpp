@@ -118,7 +118,7 @@ class Scheduler {
     // kIdle / kQueued / kRunning / kRunningRearm.
     std::atomic<std::uint32_t> state{0};
     // steady_now() at the idle->queued transition; 0 when unset. Feeds the
-    // sched_wake_to_eval_ns histogram.
+    // profile slot's queue-delay histogram.
     std::atomic<std::int64_t> wake_ns{0};
     // Total evals, readable by tests asserting wake-set precision.
     std::atomic<std::uint64_t> eval_count{0};
@@ -237,7 +237,6 @@ class Scheduler {
   // --- observability (all may be null when metrics is null) --------------
   obs::Counter* wakeups_ = nullptr;         // idle->queued transitions
   obs::Counter* coalesced_ = nullptr;       // wakes folded into a pending one
-  obs::Counter* evals_ = nullptr;           // eval callbacks run
   obs::Counter* caller_runs_ = nullptr;     // of those, run_here evals
   obs::Counter* spurious_ = nullptr;        // evals whose guard was false
   obs::Counter* timer_fires_ = nullptr;     // wheel-driven wakes
@@ -245,9 +244,6 @@ class Scheduler {
   obs::Gauge* workers_gauge_ = nullptr;     // pool size incl. spares
   obs::Gauge* workers_blocked_ = nullptr;   // workers inside blocking waits
   obs::Gauge* workers_busy_ = nullptr;      // workers currently in an eval
-  obs::Histogram* wake_to_eval_ = nullptr;  // queue latency, ns
-  obs::Histogram* queue_delay_us_ = nullptr;  // queue latency, us (profile twin)
-  obs::Histogram* body_cpu_us_ = nullptr;     // per-eval thread CPU, us
 };
 
 }  // namespace csaw

@@ -131,22 +131,21 @@ TcpTransport::TcpTransport(DeliverFn deliver, TcpOptions options,
     : deliver_(std::move(deliver)),
       options_(std::move(options)),
       trace_sink_(trace_sink),
-      metrics_(metrics),
       profiler_(profiler),
       jitter_([] {
         std::random_device rd;
         return (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
       }()) {
-  if (metrics_ != nullptr) {
-    frames_sent_ = &metrics_->counter("tcp_frames_sent");
-    bytes_sent_ = &metrics_->counter("tcp_bytes_sent");
-    frames_received_ = &metrics_->counter("tcp_frames_received");
-    bytes_received_ = &metrics_->counter("tcp_bytes_received");
-    frames_corrupt_ = &metrics_->counter("tcp_frames_corrupt");
-    frames_oversize_ = &metrics_->counter("tcp_frames_oversize");
-    send_failures_ = &metrics_->counter("tcp_send_failures");
-    reconnects_ = &metrics_->counter("tcp_reconnects");
-    queue_drops_ = &metrics_->counter("tcp_queue_drops");
+  if (metrics != nullptr) {
+    frames_sent_ = &metrics->counter("tcp_frames_sent");
+    bytes_sent_ = &metrics->counter("tcp_bytes_sent");
+    frames_received_ = &metrics->counter("tcp_frames_received");
+    bytes_received_ = &metrics->counter("tcp_bytes_received");
+    frames_corrupt_ = &metrics->counter("tcp_frames_corrupt");
+    frames_oversize_ = &metrics->counter("tcp_frames_oversize");
+    send_failures_ = &metrics->counter("tcp_send_failures");
+    reconnects_ = &metrics->counter("tcp_reconnects");
+    queue_drops_ = &metrics->counter("tcp_queue_drops");
   }
 
   if (options_.listen_port >= 0) {
@@ -235,12 +234,6 @@ TcpTransport::Peer& TcpTransport::ensure_peer_locked(const std::string& name,
   p->name = name;
   p->addr = std::move(addr);
   p->retry_at = steady_now();  // connect eagerly
-  if (metrics_ != nullptr) {
-    p->m_frames_sent = &metrics_->counter("tcp_peer_" + name + "_frames_sent");
-    p->m_bytes_sent = &metrics_->counter("tcp_peer_" + name + "_bytes_sent");
-    p->m_reconnects = &metrics_->counter("tcp_peer_" + name + "_reconnects");
-    p->m_queue_drops = &metrics_->counter("tcp_peer_" + name + "_queue_drops");
-  }
   if (profiler_ != nullptr) {
     p->prof_depth = profiler_->link_queue_depth(name);
   }
@@ -282,11 +275,19 @@ bool TcpTransport::remove_peer(const std::string& name) {
       dropped = p.queue.size();
       if (dropped > 0) {
         p.queue_drops += dropped;
-        if (p.m_queue_drops != nullptr) p.m_queue_drops->add(dropped);
         if (queue_drops_ != nullptr) queue_drops_->add(dropped);
       }
       p.queue.clear();
       p.write_off = 0;
+      // The peer's totals leave with it; the profile keeps them.
+      if (profiler_ != nullptr) {
+        profiler_->fold_link({.node = profiler_->node(),
+                              .peer = name,
+                              .frames_sent = p.frames_sent,
+                              .bytes_sent = p.bytes_sent,
+                              .queue_drops = p.queue_drops,
+                              .reconnects = p.reconnects});
+      }
       // The fd stays open until the event loop (its owner) closes it; the
       // peer is unreachable by name from this point on.
       doomed_.push_back(std::move(it->second));
@@ -375,7 +376,6 @@ bool TcpTransport::send_to(const std::string& peer, const Envelope& env) {
       drop_reason = "frame exceeds max_frame_bytes";
     } else if (p.queue.size() >= options_.send_queue_cap) {
       ++p.queue_drops;
-      if (p.m_queue_drops != nullptr) p.m_queue_drops->add();
       if (queue_drops_ != nullptr) queue_drops_->add();
       drop_reason = "send queue overflow";
     } else {
@@ -458,7 +458,6 @@ void TcpTransport::on_connected_locked(Peer& p, int fd) {
   set_nodelay(fd, options_.nodelay);
   if (p.ever_connected) {
     ++p.reconnects;
-    if (p.m_reconnects != nullptr) p.m_reconnects->add();
     if (reconnects_ != nullptr) reconnects_->add();
   }
   p.ever_connected = true;
@@ -532,8 +531,6 @@ void TcpTransport::flush_locked(Peer& p) {
         const std::size_t frame_bytes = p.queue.front().size();
         ++p.frames_sent;
         p.bytes_sent += frame_bytes;
-        if (p.m_frames_sent != nullptr) p.m_frames_sent->add();
-        if (p.m_bytes_sent != nullptr) p.m_bytes_sent->add(frame_bytes);
         if (frames_sent_ != nullptr) frames_sent_->add();
         if (bytes_sent_ != nullptr) bytes_sent_->add(frame_bytes);
         p.queue.pop_front();

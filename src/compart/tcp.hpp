@@ -130,8 +130,9 @@ class TcpTransport {
   // immediately (send_to/route start failing fast), instance mappings
   // pointing at it are dropped, queued frames are discarded (counted as
   // queue drops; the push layer's ack/deadline machinery surfaces the loss),
-  // and the connection fd is closed by the event loop, which owns all peer
-  // fds. Returns whether the peer was known. Callers that also run a
+  // the peer's final totals are folded into the profiler (if any), and the
+  // connection fd is closed by the event loop, which owns all peer fds.
+  // Returns whether the peer was known. Callers that also run a
   // failure detector must purge it separately (Runtime::remove_peer does
   // both).
   bool remove_peer(const std::string& name);
@@ -189,11 +190,6 @@ class TcpTransport {
     std::uint64_t reconnects = 0;
     std::uint64_t queue_drops = 0;
     bool kill = false;  // chaos: event loop drops the connection, keeps peer
-    // Borrowed per-peer counter handles; null when metrics are disabled.
-    obs::Counter* m_frames_sent = nullptr;
-    obs::Counter* m_bytes_sent = nullptr;
-    obs::Counter* m_reconnects = nullptr;
-    obs::Counter* m_queue_drops = nullptr;
     // Cost-profile send-queue-depth histogram; null without a profiler.
     obs::Histogram* prof_depth = nullptr;
   };
@@ -228,7 +224,6 @@ class TcpTransport {
   DeliverFn deliver_;
   TcpOptions options_;
   obs::TraceSink* trace_sink_ = nullptr;
-  obs::Metrics* metrics_ = nullptr;
   obs::Profiler* profiler_ = nullptr;
 
   int listen_fd_ = -1;

@@ -1,16 +1,7 @@
 #include "obs/collect.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -19,15 +10,14 @@
 #include <sstream>
 #include <utility>
 
-#include "obs/export.hpp"
 #include "obs/json.hpp"
-#include "support/check.hpp"
 #include "support/io.hpp"
 
 namespace csaw::obs {
 namespace {
 
 using minijson::Json;
+using minijson::write_string;
 
 // --- event (de)serialization helpers ---------------------------------------
 
@@ -35,9 +25,9 @@ Symbol symbol_or_invalid(std::string_view name) {
   return name.empty() ? Symbol() : Symbol(name);
 }
 
-// One "events" element (or one shipped line) back into a TraceEvent. `at`
-// is reconstructed relative to an arbitrary zero epoch: only differences
-// within one document are meaningful, which is all merge_events needs.
+// One "events" element back into a TraceEvent. `at` is reconstructed
+// relative to an arbitrary zero epoch: only differences within one
+// document are meaningful, which is all merge_events needs.
 Result<TraceEvent> event_from_json(const Json& o) {
   if (o.type != Json::Type::kObject) {
     return make_error(Errc::kDecode, "trace event is not a JSON object");
@@ -78,26 +68,6 @@ double causal_ts_us(const TraceEvent& e) {
     return static_cast<double>(e.hlc.physical_us) + e.hlc.logical * 1e-3;
   }
   return event_t_us(e);
-}
-
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-             << "0123456789abcdef"[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
 }
 
 void write_event_args(std::ostream& os, const TraceEvent& e) {
@@ -265,7 +235,7 @@ void write_perfetto_json(std::ostream& os,
   for (std::size_t i = 0; i < instances.size(); ++i) {
     sep() << "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": " << (i + 1)
           << ", \"tid\": 0, \"args\": {\"name\": ";
-    write_json_string(os, instances[i].valid() ? instances[i].str() : "?");
+    write_string(os, instances[i].valid() ? instances[i].str() : "?");
     os << "}}";
     sep() << "{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": " << (i + 1)
           << ", \"tid\": 0, \"args\": {\"name\": \"(instance)\"}}";
@@ -284,7 +254,7 @@ void write_perfetto_json(std::ostream& os,
     }
     sep() << "{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": " << pid
           << ", \"tid\": " << tid << ", \"args\": {\"name\": ";
-    write_json_string(os, junction.valid() ? junction.str() : "?");
+    write_string(os, junction.valid() ? junction.str() : "?");
     os << "}}";
   }
 
@@ -301,7 +271,7 @@ void write_perfetto_json(std::ostream& os,
         const double dur = std::max(static_cast<double>(e.value_ns) / 1000.0,
                                     0.001);
         sep() << "{\"ph\": \"X\", \"name\": ";
-        write_json_string(os, e.junction.valid() ? e.junction.str() : name);
+        write_string(os, e.junction.valid() ? e.junction.str() : name);
         os << ", \"cat\": \"junction\", \"pid\": " << pid
            << ", \"tid\": " << tid << ", \"ts\": " << ts
            << ", \"dur\": " << dur << ", ";
@@ -324,8 +294,7 @@ void write_perfetto_json(std::ostream& os,
         if (it != push_done_ts.end() && it->second > ts) dur = it->second - ts;
         sep() << "{\"ph\": \"X\", \"name\": ";
         // Slice name: "push <target>" reads better than "push_sent".
-        write_json_string(os,
-                          "push " + (e.peer.valid() ? e.peer.str() : "?"));
+        write_string(os, "push " + (e.peer.valid() ? e.peer.str() : "?"));
         os << ", \"cat\": \"push\", \"pid\": " << pid << ", \"tid\": " << tid
            << ", \"ts\": " << ts << ", \"dur\": " << dur << ", ";
         write_event_args(os, e);
@@ -339,7 +308,7 @@ void write_perfetto_json(std::ostream& os,
       }
       default: {
         sep() << "{\"ph\": \"i\", \"s\": \"t\", \"name\": ";
-        write_json_string(os, name);
+        write_string(os, name);
         os << ", \"cat\": \"event\", \"pid\": " << pid << ", \"tid\": " << tid
            << ", \"ts\": " << ts << ", ";
         write_event_args(os, e);
@@ -455,159 +424,6 @@ Status check_perfetto_json(std::string_view text) {
     }
   }
   return Status::ok_status();
-}
-
-// ---------------------------------------------------------------------------
-// Live collector socket
-// ---------------------------------------------------------------------------
-
-TraceCollector::TraceCollector(int port) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  CSAW_CHECK(listen_fd_ >= 0) << "trace collector: socket() failed";
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  CSAW_CHECK(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                    sizeof(addr)) == 0)
-      << "trace collector: bind(127.0.0.1:" << port << ") failed";
-  CSAW_CHECK(::listen(listen_fd_, 16) == 0)
-      << "trace collector: listen() failed";
-  socklen_t len = sizeof(addr);
-  CSAW_CHECK(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                           &len) == 0)
-      << "trace collector: getsockname() failed";
-  port_ = ntohs(addr.sin_port);
-  acceptor_ = std::thread([this] { accept_loop(); });
-}
-
-TraceCollector::~TraceCollector() {
-  stopping_.store(true, std::memory_order_release);
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (acceptor_.joinable()) acceptor_.join();
-  {
-    std::scoped_lock lock(mu_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (auto& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
-  {
-    std::scoped_lock lock(mu_);
-    for (const int fd : conn_fds_) ::close(fd);
-    conn_fds_.clear();
-  }
-  ::close(listen_fd_);
-}
-
-void TraceCollector::accept_loop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_acquire)) break;
-      if (errno == EINTR) continue;
-      break;  // listen socket gone
-    }
-    std::scoped_lock lock(mu_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { connection_loop(fd); });
-  }
-}
-
-void TraceCollector::connection_loop(int fd) {
-  std::string pending;
-  char buf[4096];
-  while (true) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    pending.append(buf, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl = pending.find('\n', start);
-         nl != std::string::npos; nl = pending.find('\n', start)) {
-      const std::string_view line(pending.data() + start, nl - start);
-      start = nl + 1;
-      if (line.empty()) continue;
-      auto parsed = minijson::parse(line);
-      if (!parsed.ok()) {
-        malformed_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      auto event = event_from_json(*parsed);
-      if (!event.ok()) {
-        malformed_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      std::scoped_lock lock(mu_);
-      events_.push_back(*std::move(event));
-    }
-    pending.erase(0, start);
-  }
-}
-
-std::size_t TraceCollector::count() const {
-  std::scoped_lock lock(mu_);
-  return events_.size();
-}
-
-std::vector<TraceEvent> TraceCollector::take() {
-  std::scoped_lock lock(mu_);
-  return std::exchange(events_, {});
-}
-
-// ---------------------------------------------------------------------------
-// Shipper
-// ---------------------------------------------------------------------------
-
-Result<TraceShipper> TraceShipper::connect(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return make_error(Errc::kHostFailure, "trace shipper: socket() failed");
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return make_error(Errc::kUnreachable,
-                      "trace shipper: no collector at 127.0.0.1:" +
-                          std::to_string(port));
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return TraceShipper(fd);
-}
-
-TraceShipper::~TraceShipper() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-TraceShipper::TraceShipper(TraceShipper&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)) {}
-
-Result<std::size_t> TraceShipper::ship(Tracer& tracer) {
-  const SteadyTime epoch = tracer.epoch();
-  const std::vector<TraceEvent> events = tracer.drain();
-  std::ostringstream lines;
-  for (const TraceEvent& e : events) {
-    write_trace_event_json(lines, e, epoch);
-    lines << '\n';
-  }
-  const std::string payload = lines.str();
-  std::size_t sent = 0;
-  while (sent < payload.size()) {
-    const ssize_t n = ::send(fd_, payload.data() + sent, payload.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return make_error(Errc::kHostFailure,
-                        "trace shipper: connection lost mid-ship");
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return events.size();
 }
 
 }  // namespace csaw::obs

@@ -1,22 +1,16 @@
 // Cross-instance trace collection: parse per-instance trace JSON back into
 // events, merge several files into one causally-ordered timeline (HLC
-// order), emit Chrome/Perfetto trace-event JSON with one track per instance
-// and flow arrows for pushes, and ship live events to a collector socket.
-//
-// The offline path backs the tools/csaw-trace CLI:
+// order), and emit Chrome/Perfetto trace-event JSON with one track per
+// instance and flow arrows for pushes. This offline path backs the
+// tools/csaw-trace CLI:
 //   csaw-trace merge -o merged.json a.json b.json c.json
 //   csaw-trace check merged.json
-// The live path (TraceShipper -> TraceCollector) lets long-running
-// deployments stream events off-box instead of buffering a whole run.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -59,64 +53,5 @@ Status write_perfetto_json_file(const std::string& path,
 // it, and no span is timestamped before its parent (HLC order). Returns the
 // first violation as an error.
 Status check_perfetto_json(std::string_view text);
-
-// --- live: collector socket --------------------------------------------------
-
-// Receives newline-delimited trace-event JSON (the export.hpp event schema)
-// on a loopback TCP socket; one accepting thread, one thread per shipper
-// connection. Malformed lines are counted and dropped, like bad packets.
-class TraceCollector {
- public:
-  // port 0 = ephemeral. CHECK-fails if the socket cannot be bound.
-  explicit TraceCollector(int port = 0);
-  ~TraceCollector();
-
-  TraceCollector(const TraceCollector&) = delete;
-  TraceCollector& operator=(const TraceCollector&) = delete;
-
-  [[nodiscard]] int port() const { return port_; }
-  [[nodiscard]] std::size_t count() const;
-  [[nodiscard]] std::uint64_t malformed() const {
-    return malformed_.load(std::memory_order_relaxed);
-  }
-  // Removes and returns everything received so far (arrival order).
-  std::vector<TraceEvent> take();
-
- private:
-  void accept_loop();
-  void connection_loop(int fd);
-
-  int listen_fd_ = -1;
-  int port_ = -1;
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> malformed_{0};
-  mutable std::mutex mu_;  // guards events_ and conns_
-  std::vector<TraceEvent> events_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
-  std::thread acceptor_;
-};
-
-// Ships drained tracer events to a TraceCollector as JSON lines. Connects
-// once at construction; ship() drains and writes synchronously.
-class TraceShipper {
- public:
-  // kUnreachable if nothing listens at 127.0.0.1:<port>.
-  static Result<TraceShipper> connect(int port);
-  ~TraceShipper();
-
-  TraceShipper(TraceShipper&& other) noexcept;
-  TraceShipper& operator=(TraceShipper&&) = delete;
-  TraceShipper(const TraceShipper&) = delete;
-  TraceShipper& operator=(const TraceShipper&) = delete;
-
-  // Drains `tracer` and ships every event; kHostFailure if the connection
-  // broke. Returns the number of events shipped on success.
-  Result<std::size_t> ship(Tracer& tracer);
-
- private:
-  explicit TraceShipper(int fd) : fd_(fd) {}
-  int fd_ = -1;
-};
 
 }  // namespace csaw::obs

@@ -3,37 +3,17 @@
 #include <ostream>
 #include <sstream>
 
+#include "obs/json.hpp"
 #include "support/io.hpp"
 
 namespace csaw::obs {
 namespace {
 
-void write_escaped(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-             << "0123456789abcdef"[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 void write_symbol(std::ostream& os, Symbol s) {
-  write_escaped(os, s.valid() ? s.str() : std::string());
+  minijson::write_string(os, s.valid() ? s.str() : std::string());
 }
 
-}  // namespace
-
+// One event as a JSON object (the element schema of "events").
 void write_trace_event_json(std::ostream& os, const TraceEvent& e,
                             SteadyTime epoch) {
   os << "{\"t_us\": "
@@ -53,6 +33,8 @@ void write_trace_event_json(std::ostream& os, const TraceEvent& e,
      << ", \"hlc_us\": " << e.hlc.physical_us << ", \"hlc_lc\": " << e.hlc.logical
      << "}";
 }
+
+}  // namespace
 
 void write_trace_json(std::ostream& os, const std::vector<TraceEvent>& events,
                       SteadyTime epoch, std::uint64_t dropped,
@@ -84,7 +66,7 @@ void write_trace_json(std::ostream& os, const std::vector<TraceEvent>& events,
     bool first = true;
     metrics->for_each_counter([&](const std::string& name, const Counter& c) {
       os << (first ? "\n" : ",\n") << "      ";
-      write_escaped(os, name);
+      minijson::write_string(os, name);
       os << ": " << c.value();
       first = false;
     });
@@ -95,7 +77,7 @@ void write_trace_json(std::ostream& os, const std::vector<TraceEvent>& events,
     bool first = true;
     metrics->for_each_gauge([&](const std::string& name, const Gauge& g) {
       os << (first ? "\n" : ",\n") << "      ";
-      write_escaped(os, name);
+      minijson::write_string(os, name);
       os << ": " << g.value();
       first = false;
     });
@@ -107,7 +89,7 @@ void write_trace_json(std::ostream& os, const std::vector<TraceEvent>& events,
     metrics->for_each_histogram(
         [&](const std::string& name, const Histogram& h) {
           os << (first ? "\n" : ",\n") << "      ";
-          write_escaped(os, name);
+          minijson::write_string(os, name);
           os << ": {\"count\": " << h.count() << ", \"mean\": " << h.mean()
              << ", \"p50\": " << h.quantile(0.50)
              << ", \"p90\": " << h.quantile(0.90)

@@ -17,6 +17,8 @@
 //                      "p50": ..., "p90": ..., "p99": ..., "max": ...}}
 //     }
 //   }
+// "metrics" is the process-wide registry only; per-junction and per-link
+// costs live in the CostProfile (obs/profile.hpp), written separately.
 // "buffers" has one entry per tracer thread-ring, captured before the drain.
 // t_us is microseconds relative to the tracer's (per-process) epoch; hlc_us
 // is wall-clock-anchored and comparable across processes. Null arguments
@@ -32,11 +34,6 @@
 #include "support/result.hpp"
 
 namespace csaw::obs {
-
-// One event as a JSON object (the element schema of "events" above). Also
-// the line format shipped to a TraceCollector.
-void write_trace_event_json(std::ostream& os, const TraceEvent& e,
-                            SteadyTime epoch);
 
 // Core writer over already-drained events (callers that need the events for
 // more than one export drain once and pass them here).

@@ -7,6 +7,9 @@
 
 #include <cstring>
 #include <sstream>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "support/check.hpp"
 
@@ -56,9 +59,118 @@ std::string read_request_path(int fd) {
   return req.substr(sp1 + 1, sp2 - sp1 - 1);
 }
 
+// One row's label set, values escaped per the text format.
+std::string label_set(
+    std::initializer_list<std::pair<const char*, std::string_view>> labels) {
+  std::string out;
+  for (const auto& [name, value] : labels) {
+    if (!out.empty()) out += ',';
+    out += name;
+    out += "=\"";
+    for (const char c : value) {
+      switch (c) {
+        case '\\': out += "\\\\"; break;
+        case '"': out += "\\\""; break;
+        case '\n': out += "\\n"; break;
+        default: out += c;
+      }
+    }
+    out += '"';
+  }
+  return out;
+}
+
+// One labelled family: each row's `field` under that row's label set.
+template <typename Row>
+void render_family(std::ostream& os, const std::string& name,
+                   const char* type, const std::vector<Row>& rows,
+                   const std::vector<std::string>& labels,
+                   std::uint64_t Row::*field) {
+  if (rows.empty()) return;
+  os << "# TYPE " << name << ' ' << type << "\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    os << name << '{' << labels[i] << "} " << rows[i].*field << "\n";
+  }
+}
+
+// One summary's samples; `labels` may be empty.
+void write_summary(std::ostream& os, const std::string& name,
+                   const std::string& labels, const HistSummary& h) {
+  const std::string sep = labels.empty() ? "" : ",";
+  for (const auto& [q, v] : {std::pair{0.5, h.p50}, std::pair{0.9, h.p90},
+                             std::pair{0.99, h.p99}}) {
+    os << name << '{' << labels << sep << "quantile=\"" << q << "\"} " << v
+       << "\n";
+  }
+  const std::string set = labels.empty() ? "" : '{' + labels + '}';
+  os << name << "_sum" << set << ' ' << h.sum << "\n"
+     << name << "_count" << set << ' ' << h.count << "\n";
+}
+
+template <typename Row>
+void render_summary(std::ostream& os, const std::string& name,
+                    const std::vector<Row>& rows,
+                    const std::vector<std::string>& labels,
+                    HistSummary Row::*field) {
+  if (rows.empty()) return;
+  os << "# TYPE " << name << " summary\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    write_summary(os, name, labels[i], rows[i].*field);
+  }
+}
+
+void render_profile(std::ostream& os, const CostProfile& p) {
+  std::vector<std::string> jl;
+  for (const auto& j : p.junctions) {
+    jl.push_back(label_set(
+        {{"node", j.node}, {"instance", j.instance}, {"junction", j.junction}}));
+  }
+  for (const auto& [name, field] :
+       {std::pair{"evals", &JunctionCost::evals},
+        std::pair{"fires", &JunctionCost::fires},
+        std::pair{"body_cpu_ns", &JunctionCost::body_cpu_ns},
+        std::pair{"body_wall_ns", &JunctionCost::body_wall_ns},
+        std::pair{"blocked_ns", &JunctionCost::blocked_ns}}) {
+    render_family(os, std::string("csaw_junction_") + name + "_total",
+                  "counter", p.junctions, jl, field);
+  }
+  render_summary(os, "csaw_junction_queue_delay_ns", p.junctions, jl,
+                 &JunctionCost::queue_delay_ns);
+  render_summary(os, "csaw_junction_body_cpu_per_eval_ns", p.junctions, jl,
+                 &JunctionCost::body_cpu_per_eval_ns);
+
+  std::vector<std::string> ll;
+  for (const auto& l : p.links) {
+    ll.push_back(label_set({{"node", l.node}, {"peer", l.peer}}));
+  }
+  for (const auto& [name, field] :
+       {std::pair{"frames_sent", &LinkCost::frames_sent},
+        std::pair{"bytes_sent", &LinkCost::bytes_sent},
+        std::pair{"queue_drops", &LinkCost::queue_drops},
+        std::pair{"reconnects", &LinkCost::reconnects}}) {
+    render_family(os, std::string("csaw_link_") + name + "_total", "counter",
+                  p.links, ll, field);
+  }
+  render_summary(os, "csaw_link_rtt_ns", p.links, ll, &LinkCost::rtt_ns);
+  render_summary(os, "csaw_link_send_queue_depth", p.links, ll,
+                 &LinkCost::send_queue_depth);
+
+  std::vector<std::string> tl;
+  for (const auto& t : p.tables) {
+    tl.push_back(label_set({{"node", t.node}, {"instance", t.instance}}));
+  }
+  render_family(os, "csaw_table_keys", "gauge", p.tables, tl,
+                &TableCost::keys);
+  render_family(os, "csaw_table_writes_total", "counter", p.tables, tl,
+                &TableCost::writes);
+  render_family(os, "csaw_table_wal_bytes_total", "counter", p.tables, tl,
+                &TableCost::wal_bytes);
+}
+
 }  // namespace
 
-std::string render_prometheus(const Metrics* metrics, const Tracer* tracer) {
+std::string render_prometheus(const Metrics* metrics, const Tracer* tracer,
+                              const CostProfile* profile) {
   std::ostringstream os;
   if (metrics != nullptr) {
     metrics->for_each_counter([&](const std::string& name, const Counter& c) {
@@ -72,15 +184,10 @@ std::string render_prometheus(const Metrics* metrics, const Tracer* tracer) {
     metrics->for_each_histogram(
         [&](const std::string& name, const Histogram& h) {
           os << "# TYPE csaw_" << name << " summary\n";
-          for (const double q : {0.5, 0.9, 0.99}) {
-            os << "csaw_" << name << "{quantile=\"" << q << "\"} "
-               << h.quantile(q) << "\n";
-          }
-          os << "csaw_" << name << "_sum "
-             << h.mean() * static_cast<double>(h.count()) << "\n"
-             << "csaw_" << name << "_count " << h.count() << "\n";
+          write_summary(os, "csaw_" + name, "", summarize(h));
         });
   }
+  if (profile != nullptr) render_profile(os, *profile);
   if (tracer != nullptr) {
     const auto buffers = tracer->buffer_stats();
     std::uint64_t dropped = 0;
@@ -138,15 +245,19 @@ HttpExposer::~HttpExposer() {
 }
 
 std::string HttpExposer::render_metrics() const {
+  if (auto source = profile_source()) {
+    const CostProfile profile = source();
+    return render_prometheus(metrics_, tracer_, &profile);
+  }
   return render_prometheus(metrics_, tracer_);
 }
 
-void HttpExposer::set_profile_source(std::function<std::string()> source) {
+void HttpExposer::set_profile_source(ProfileSource source) {
   std::scoped_lock lock(profile_mu_);
   profile_source_ = std::move(source);
 }
 
-std::function<std::string()> HttpExposer::profile_source() const {
+HttpExposer::ProfileSource HttpExposer::profile_source() const {
   std::scoped_lock lock(profile_mu_);
   return profile_source_;
 }
@@ -163,7 +274,8 @@ void HttpExposer::serve_loop() {
       respond(conn, 200, "OK", "ok\n", "text/plain");
     } else if (path == "/profile") {
       if (auto source = profile_source()) {
-        respond(conn, 200, "OK", source(), "application/json");
+        respond(conn, 200, "OK", cost_profile_json(source()),
+                "application/json");
       } else {
         respond(conn, 404, "Not Found", "no profiler attached\n",
                 "text/plain");

@@ -3,8 +3,29 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <ostream>
 
 namespace csaw::obs::minijson {
+
+void write_string(std::ostream& os, std::string_view s) {
+  os << '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\t': os << "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
+             << "0123456789abcdef"[c & 0xf];
+        } else {
+          os << c;
+        }
+    }
+  }
+  os << '"';
+}
 
 std::uint64_t Json::u64_or(std::string_view key, std::uint64_t def) const {
   const Json* v = find(key);

@@ -1,11 +1,13 @@
 // Mini JSON reader shared by the offline obs tooling (trace collection and
-// merge in obs/collect, cost-profile merge/diff in obs/profile). Only what
-// those schemas need: objects, arrays, strings, numbers, bools, null.
+// merge in obs/collect, cost-profile merge/diff in obs/profile), plus the
+// one string escaper every obs JSON writer uses. Only what those schemas
+// need: objects, arrays, strings, numbers, bools, null.
 // Unsigned integer literals keep full 64-bit precision (trace/span ids and
 // nanosecond totals do not survive a double round-trip).
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -43,5 +45,8 @@ struct Json {
 // Parses one complete JSON value; trailing non-whitespace bytes are an
 // Errc::kDecode error, as is any malformed input (never UB).
 Result<Json> parse(std::string_view text);
+
+// Writes `s` as a quoted JSON string literal (control bytes escaped).
+void write_string(std::ostream& os, std::string_view s);
 
 }  // namespace csaw::obs::minijson

@@ -18,26 +18,7 @@ namespace csaw::obs {
 namespace {
 
 using minijson::Json;
-
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-             << "0123456789abcdef"[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
+using minijson::write_string;
 
 void write_hist(std::ostream& os, const HistSummary& h) {
   os << "{\"count\": " << h.count << ", \"sum\": " << h.sum
@@ -152,7 +133,7 @@ std::string cost_profile_json(const CostProfile& profile) {
   os << "  \"nodes\": [";
   for (std::size_t i = 0; i < p.nodes.size(); ++i) {
     if (i != 0) os << ", ";
-    write_escaped(os, p.nodes[i]);
+    write_string(os, p.nodes[i]);
   }
   os << "],\n";
   os << "  \"duration_ns\": " << p.duration_ns << ",\n";
@@ -160,11 +141,11 @@ std::string cost_profile_json(const CostProfile& profile) {
   for (std::size_t i = 0; i < p.junctions.size(); ++i) {
     const JunctionCost& j = p.junctions[i];
     os << (i == 0 ? "\n" : ",\n") << "    {\"node\": ";
-    write_escaped(os, j.node);
+    write_string(os, j.node);
     os << ", \"instance\": ";
-    write_escaped(os, j.instance);
+    write_string(os, j.instance);
     os << ", \"junction\": ";
-    write_escaped(os, j.junction);
+    write_string(os, j.junction);
     os << ",\n     \"evals\": " << j.evals << ", \"fires\": " << j.fires
        << ", \"body_cpu_ns\": " << j.body_cpu_ns
        << ", \"body_wall_ns\": " << j.body_wall_ns
@@ -180,9 +161,9 @@ std::string cost_profile_json(const CostProfile& profile) {
   for (std::size_t i = 0; i < p.links.size(); ++i) {
     const LinkCost& l = p.links[i];
     os << (i == 0 ? "\n" : ",\n") << "    {\"node\": ";
-    write_escaped(os, l.node);
+    write_string(os, l.node);
     os << ", \"peer\": ";
-    write_escaped(os, l.peer);
+    write_string(os, l.peer);
     os << ",\n     \"frames_sent\": " << l.frames_sent
        << ", \"bytes_sent\": " << l.bytes_sent
        << ", \"queue_drops\": " << l.queue_drops
@@ -199,9 +180,9 @@ std::string cost_profile_json(const CostProfile& profile) {
   for (std::size_t i = 0; i < p.tables.size(); ++i) {
     const TableCost& t = p.tables[i];
     os << (i == 0 ? "\n" : ",\n") << "    {\"node\": ";
-    write_escaped(os, t.node);
+    write_string(os, t.node);
     os << ", \"instance\": ";
-    write_escaped(os, t.instance);
+    write_string(os, t.instance);
     os << ", \"keys\": " << t.keys << ", \"writes\": " << t.writes
        << ", \"wal_bytes\": " << t.wal_bytes << "}";
   }
@@ -599,12 +580,6 @@ CostProfile Profiler::snapshot(std::vector<TableCost> live_tables,
   for (auto& [_, t] : tables) p.tables.push_back(std::move(t));
   sort_rows(p);
   return p;
-}
-
-std::string Profiler::snapshot_json(std::vector<TableCost> live_tables,
-                                    std::vector<LinkCost> live_links) const {
-  return cost_profile_json(
-      snapshot(std::move(live_tables), std::move(live_links)));
 }
 
 }  // namespace csaw::obs

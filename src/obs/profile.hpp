@@ -183,9 +183,6 @@ class Profiler {
   [[nodiscard]] CostProfile snapshot(
       std::vector<TableCost> live_tables = {},
       std::vector<LinkCost> live_links = {}) const;
-  [[nodiscard]] std::string snapshot_json(
-      std::vector<TableCost> live_tables = {},
-      std::vector<LinkCost> live_links = {}) const;
 
  private:
   struct LinkSlot {

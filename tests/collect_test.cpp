@@ -1,6 +1,5 @@
-// Distributed trace collection: JSON parse/merge round trips, the Perfetto
-// writer + checker (causal order across a 3-instance push chain), and the
-// live TraceShipper -> TraceCollector socket path.
+// Distributed trace collection: JSON parse/merge round trips and the
+// Perfetto writer + checker (causal order across a 3-instance push chain).
 #include "obs/collect.hpp"
 
 #include <gtest/gtest.h>
@@ -265,50 +264,6 @@ TEST(TracePerfetto, CheckerRejectsAcausalDocuments) {
           "{\"ph\": \"s\", \"id\": 1, \"pid\": 1, \"tid\": 1, \"ts\": 5.0},"
           "{\"ph\": \"f\", \"id\": 1, \"pid\": 1, \"tid\": 1, \"ts\": 9.0}]}")
           .ok());
-}
-
-TEST(TraceCollector, ShipsEventsAcrossTheSocket) {
-  obs::TraceCollector collector;
-  ASSERT_GT(collector.port(), 0);
-
-  obs::Tracer tracer;
-  for (int i = 0; i < 50; ++i) {
-    TraceEvent e;
-    e.kind = TraceEvent::Kind::kCustom;
-    e.instance = Symbol("shipper");
-    e.value_ns = static_cast<std::uint64_t>(i);
-    e.span_id = static_cast<std::uint64_t>(1000 + i);
-    e.hlc = obs::Hlc{static_cast<std::uint64_t>(1'000'000 + i), 0};
-    tracer.record(e);
-  }
-
-  auto shipper = obs::TraceShipper::connect(collector.port());
-  ASSERT_TRUE(shipper.ok()) << shipper.error().to_string();
-  auto shipped = shipper->ship(tracer);
-  ASSERT_TRUE(shipped.ok()) << shipped.error().to_string();
-  EXPECT_EQ(*shipped, 50u);
-
-  // Delivery is asynchronous; poll until the collector has everything.
-  const auto deadline = steady_now() + std::chrono::seconds(10);
-  while (collector.count() < 50 && steady_now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(collector.count(), 50u);
-  EXPECT_EQ(collector.malformed(), 0u);
-  const auto got = collector.take();
-  ASSERT_EQ(got.size(), 50u);
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].kind, TraceEvent::Kind::kCustom);
-    EXPECT_EQ(got[i].instance, Symbol("shipper"));
-    EXPECT_EQ(got[i].value_ns, i);
-    EXPECT_EQ(got[i].span_id, 1000 + i);
-    EXPECT_EQ(got[i].hlc.physical_us, 1'000'000 + i);
-  }
-  EXPECT_EQ(collector.count(), 0u) << "take() is destructive";
-
-  // Nothing listening: connect reports unreachable instead of hanging.
-  auto bad = obs::TraceShipper::connect(1);  // port 1: nothing there
-  EXPECT_FALSE(bad.ok());
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// /metrics HTTP endpoint: Prometheus text rendering, routing, and the
+// /metrics HTTP endpoint: Prometheus text rendering (unlabelled registry and
+// labelled cost-profile families), routing, /profile, and the
 // RuntimeOptions::metrics_http_port plumbing.
 #include "obs/expose.hpp"
 
@@ -10,9 +11,13 @@
 
 #include <chrono>
 #include <string>
+#include <thread>
+#include <tuple>
+#include <utility>
 
 #include "compart/runtime.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
 namespace csaw {
@@ -84,6 +89,31 @@ TEST(Exposer, ServesPrometheusMetricsAndHealth) {
 
   const std::string missing = http_get(exposer.port(), "/nope");
   EXPECT_NE(missing.find("HTTP/1.1 404"), std::string::npos);
+  EXPECT_NE(http_get(exposer.port(), "/profile").find("HTTP/1.1 404"),
+            std::string::npos);
+
+  // Profile rows become labelled series; label values are escaped per the
+  // text format. Peer names come from configuration, so any byte may appear.
+  exposer.set_profile_source([] {
+    obs::CostProfile p;
+    obs::LinkCost link;
+    link.node = "n";
+    link.peer = "a\"b\\c";
+    link.frames_sent = 7;
+    p.links.push_back(link);
+    return p;
+  });
+  const std::string labelled = http_get(exposer.port(), "/metrics");
+  EXPECT_NE(labelled.find("# TYPE csaw_link_frames_sent_total counter\n"
+                          "csaw_link_frames_sent_total"
+                          "{node=\"n\",peer=\"a\\\"b\\\\c\"} 7\n"),
+            std::string::npos)
+      << labelled;
+  EXPECT_NE(labelled.find("csaw_link_rtt_ns_count"
+                          "{node=\"n\",peer=\"a\\\"b\\\\c\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(http_get(exposer.port(), "/profile").find("\"frames_sent\": 7"),
+            std::string::npos);
 }
 
 TEST(Exposer, RendersWithoutTracer) {
@@ -134,7 +164,54 @@ TEST(RuntimeExposer, MetricsPortOptionBindsEndToEnd) {
   EXPECT_NE(resp.find("csaw_push_acked_total 1"), std::string::npos);
   EXPECT_NE(resp.find("csaw_push_latency_ns{quantile="), std::string::npos);
 
+  // A metrics registry alone gives the runtime a profiler, and /metrics
+  // renders its rows.
+  ASSERT_NE(rt.profiler(), nullptr);
+  const auto profile_row = [&] {
+    const std::string resp = http_get(port, "/profile");
+    EXPECT_NE(resp.find("HTTP/1.1 200 OK"), std::string::npos);
+    const auto body = resp.find("\r\n\r\n");
+    auto profile = obs::parse_cost_profile(
+        body == std::string::npos ? std::string() : resp.substr(body + 4));
+    EXPECT_TRUE(profile.ok() && profile->junctions.size() == 1u) << resp;
+    return profile.ok() && !profile->junctions.empty() ? profile->junctions[0]
+                                                       : obs::JunctionCost{};
+  };
+  const auto deadline = steady_now() + std::chrono::seconds(10);
+  while (profile_row().fires < 1 && steady_now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   ASSERT_TRUE(rt.stop(Symbol("a")).ok());
+
+  // The counters only grow, so a /metrics read between two identical
+  // /profile reads must show exactly their values. (Evals already queued
+  // for the stopped instance may still drain for a moment.)
+  const auto key = [](const obs::JunctionCost& r) {
+    return std::tuple{r.evals, r.fires, r.queue_delay_ns.count};
+  };
+  obs::JunctionCost row = profile_row();
+  std::string metrics_text;
+  for (int i = 0; i < 100; ++i) {
+    metrics_text = http_get(port, "/metrics");
+    const obs::JunctionCost after = profile_row();
+    if (key(after) == key(row)) break;
+    row = after;
+  }
+  ASSERT_GE(row.fires, 1u);
+  EXPECT_GE(row.evals, row.fires);
+  const std::string labels =
+      "{node=\"local\",instance=\"a\",junction=\"j\"}";
+  for (const auto& [series, value] :
+       {std::pair{"csaw_junction_evals_total", row.evals},
+        std::pair{"csaw_junction_fires_total", row.fires},
+        std::pair{"csaw_junction_queue_delay_ns_count",
+                  row.queue_delay_ns.count}}) {
+    EXPECT_NE(metrics_text.find(std::string(series) + labels + " " +
+                                std::to_string(value) + "\n"),
+              std::string::npos)
+        << series << " != " << value << " in\n"
+        << metrics_text;
+  }
 }
 
 TEST(RuntimeExposer, DisabledWithoutMetricsOrByDefault) {

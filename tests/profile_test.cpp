@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "compart/runtime.hpp"
+#include "obs/expose.hpp"
 #include "obs/profile.hpp"
 #include "support/clock.hpp"
 #include "support/io.hpp"
@@ -172,11 +173,23 @@ TEST(ProfileTest, QueueDelayNonzeroUnderOneWorker) {
   ASSERT_GT(other->queue_delay_ns.count, 0u);
   // At least one wake waited out a meaningful slice of the 20ms spin.
   EXPECT_GT(other->queue_delay_ns.max, 1'000'000u);
-  // Satellite: the same signals flow through the Metrics histograms (and
-  // from there /metrics).
-  EXPECT_GT(metrics.histogram("sched_queue_delay_us").count(), 0u);
-  EXPECT_GT(metrics.histogram("sched_body_cpu_us").count(), 0u);
-  EXPECT_GT(metrics.histogram("sched_body_cpu_us").sum(), 0u);
+  // /metrics renders these same rows as labelled series.
+  const std::string text = obs::render_prometheus(&metrics, nullptr, &profile);
+  const std::string labels =
+      "{node=\"local\",instance=\"other\",junction=\"j\"}";
+  EXPECT_NE(text.find("csaw_junction_queue_delay_ns_count" + labels + " " +
+                      std::to_string(other->queue_delay_ns.count) + "\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("csaw_junction_body_cpu_ns_total" + labels + " " +
+                      std::to_string(other->body_cpu_ns) + "\n"),
+            std::string::npos);
+  EXPECT_GT(other->body_cpu_per_eval_ns.count, 0u);
+  EXPECT_NE(text.find("csaw_junction_body_cpu_per_eval_ns_count" + labels +
+                      " " +
+                      std::to_string(other->body_cpu_per_eval_ns.count) +
+                      "\n"),
+            std::string::npos);
 }
 
 // --- blocked time of a caller-run eval --------------------------------------

@@ -25,6 +25,7 @@
 #include "compart/tcp.hpp"
 #include "compart/wire.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
 namespace csaw {
@@ -328,7 +329,7 @@ TEST(TcpTransportMesh, DeliversBetweenTwoTransports) {
   EXPECT_EQ(envs[0].seq, 1u);
   EXPECT_EQ(envs[0].to.instance, Symbol("g"));
   EXPECT_EQ(ma.counter("tcp_frames_sent").value(), 1u);
-  EXPECT_EQ(ma.counter("tcp_peer_b_frames_sent").value(), 1u);
+  EXPECT_EQ(a.peer_stats().at("b").frames_sent, 1u);
   EXPECT_EQ(mb.counter("tcp_frames_received").value(), 1u);
   EXPECT_EQ(mb.counter("tcp_frames_corrupt").value(), 0u);
 }
@@ -413,7 +414,6 @@ TEST(TcpTransportMesh, QueueOverflowDropsCountsAndNacksLocally) {
     EXPECT_EQ(n.to.instance, Symbol("f"));
   }
   EXPECT_EQ(metrics.counter("tcp_queue_drops").value(), 3u);
-  EXPECT_EQ(metrics.counter("tcp_peer_b_queue_drops").value(), 3u);
   EXPECT_EQ(a.peer_stats().at("b").queue_drops, 3u);
 }
 
@@ -536,10 +536,12 @@ TEST(TcpTransportMesh, RemovePeerPurgesRoutesAndDropsQueue) {
   EXPECT_FALSE(a.send_to("b", test_envelope(4)));
   EXPECT_EQ(a.peer_stats().count("b"), 0u);
   EXPECT_EQ(metrics.counter("tcp_queue_drops").value(), 2u);
-  EXPECT_EQ(metrics.counter("tcp_peer_b_queue_drops").value(), 2u);
   bool traced = false;
   for (const auto& e : tracer.drain()) {
-    if (e.label == Symbol("tcp_peer_removed")) traced = true;
+    if (e.label == Symbol("tcp_peer_removed")) {
+      traced = true;
+      EXPECT_EQ(e.value_ns, 2u) << "the event carries the dropped count";
+    }
   }
   EXPECT_TRUE(traced) << "peer removal must emit a trace event";
 
@@ -711,6 +713,40 @@ TEST(TcpMeshRuntime, ReconnectAfterPeerRestartRecoversPushes) {
   EXPECT_GE(ma.counter("tcp_reconnects").value(), 1u);
   EXPECT_TRUE(
       eventually([&] { return prop_is_true(*rb, Symbol("g"), kProp); }));
+}
+
+TEST(TcpMeshRuntime, RemovedPeerKeepsItsLinkTotalsInTheProfile) {
+  // Frames queued for a peer that never connects are dropped when the peer
+  // is removed; the cost profile must still count them on that link.
+  constexpr std::uint64_t kPushes = 4;
+  obs::Profiler profiler;
+  DeadPort dead;
+  RuntimeOptions opts;
+  opts.transport = Transport::kTcpMesh;
+  opts.acks_enabled = false;  // fire-and-forget: nothing waits on the peer
+  opts.profiler = &profiler;
+  opts.tcp.listen_port = -1;
+  opts.tcp.peers["b"] = TcpPeerAddr{"127.0.0.1", dead.port()};
+  opts.tcp.remote_instances[Symbol("g")] = "b";
+  opts.tcp.backoff_initial = Millis(50);
+  Runtime rt(opts);
+  for (std::uint64_t i = 0; i < kPushes; ++i) {
+    ASSERT_TRUE(rt.push({.to = JunctionAddr{Symbol("g"), Symbol("j")},
+                         .update = Update::assert_prop(Symbol("P")),
+                         .from = Symbol("f")})
+                    .ok());
+  }
+  ASSERT_EQ(rt.tcp_transport()->peer_stats().at("b").queued, kPushes);
+  ASSERT_TRUE(rt.remove_peer("b"));
+
+  const auto profile = rt.cost_profile();
+  const obs::LinkCost* link = nullptr;
+  for (const auto& l : profile.links) {
+    if (l.peer == "b") link = &l;
+  }
+  ASSERT_NE(link, nullptr) << "the removed peer's row is missing";
+  EXPECT_EQ(link->queue_drops, kPushes);
+  EXPECT_EQ(link->frames_sent, 0u);
 }
 
 }  // namespace
